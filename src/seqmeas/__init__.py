@@ -52,7 +52,6 @@ from .quantum import (
     dilation_analysis,
     hermitian_eigendecomposition,
     identity_unitary,
-    joint_eigenprojections,
     luders_channel,
     luders_select,
     matrix_from_json,

@@ -172,7 +172,7 @@ def _matrix_lines(m: np.ndarray) -> list:
 def _run_counterexample(args) -> int:
     rho, sigma = ent.counterexample_pair()
     report = ent.entropy_report(rho, sigma)
-    minimality = ent.is_minimal_pair(rho, sigma)
+    minimality = report.minimality
     if args.as_json:
         doc = {
             "rho": qm.matrix_to_json(rho.matrix),

@@ -19,6 +19,7 @@ from .quantum import (
     CLUSTER_TOL,
     DensityOperator,
     ProjectorFamily,
+    SpectralDecomposition,
     luders_channel,
     partial_trace,
     spectral_projectors,
@@ -47,8 +48,19 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return s if s > 0.0 else 0.0
 
 
-def _relative_entropy_parts(
+def _decompose(
     rho: DensityOperator, sigma: DensityOperator, cluster_tol: float
+) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+    """Spectral decompositions of rho and sigma; a shared operator is decomposed once."""
+    if rho.dim != sigma.dim:
+        raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    sd_r = spectral_projectors(rho.matrix, cluster_tol)
+    sd_s = sd_r if sigma is rho else spectral_projectors(sigma.matrix, cluster_tol)
+    return sd_r, sd_s
+
+
+def _relative_entropy_parts(
+    sd_r: SpectralDecomposition, sd_s: SpectralDecomposition
 ) -> tuple[float, bool]:
     """Relative entropy via the cluster double sum, plus a boundary flag.
 
@@ -56,10 +68,6 @@ def _relative_entropy_parts(
     the support threshold while overlapping the support of rho, i.e. the
     finite/infinite decision was made close to the cutoff.
     """
-    if rho.dim != sigma.dim:
-        raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    sd_r = spectral_projectors(rho.matrix, cluster_tol)
-    sd_s = spectral_projectors(sigma.matrix, cluster_tol)
     r = _clamped_spectrum(sd_r.eigenvalues)
     s = _clamped_spectrum(sd_s.eigenvalues)
     d_r = sd_r.family.degeneracies.astype(float)
@@ -74,23 +82,19 @@ def _relative_entropy_parts(
 
     r_supported = r > SUPPORT_EPS
     s_zero = s <= SUPPORT_EPS
-    diverges = bool(
-        (overlaps[np.ix_(r_supported, s_zero)] > OVERLAP_EPS).any()
-    ) if r_supported.any() and s_zero.any() else False
-    near_boundary = bool(
-        ((s > SUPPORT_EPS) & (s <= 10.0 * SUPPORT_EPS)).any()
-        and (overlaps[np.ix_(r_supported, (s > SUPPORT_EPS) & (s <= 10.0 * SUPPORT_EPS))] > OVERLAP_EPS).any()
-    ) if r_supported.any() else False
+    s_near = (s > SUPPORT_EPS) & (s <= 10.0 * SUPPORT_EPS)
+    diverges = bool((overlaps[np.ix_(r_supported, s_zero)] > OVERLAP_EPS).any())
+    near_boundary = bool((overlaps[np.ix_(r_supported, s_near)] > OVERLAP_EPS).any())
     if diverges:
         return math.inf, near_boundary
 
     rs = r[r_supported]
-    tr_rho_log_rho = float((rs * np.log(rs) * d_r[r_supported]).sum()) if rs.size else 0.0
+    tr_rho_log_rho = float((rs * np.log(rs) * d_r[r_supported]).sum())
     s_supported = ~s_zero
     block = overlaps[np.ix_(r_supported, s_supported)]
     tr_rho_log_sigma = float(
         (rs[:, np.newaxis] * np.log(s[s_supported])[np.newaxis, :] * block).sum()
-    ) if rs.size and s_supported.any() else 0.0
+    )
     return tr_rho_log_rho - tr_rho_log_sigma, near_boundary
 
 
@@ -102,7 +106,7 @@ def relative_entropy(
     Computed from the spectral clusters of both operators; the result is
     +infinity when rho has weight on an eigenspace where sigma vanishes.
     """
-    value, _ = _relative_entropy_parts(rho, sigma, cluster_tol)
+    value, _ = _relative_entropy_parts(*_decompose(rho, sigma, cluster_tol))
     return value
 
 
@@ -131,15 +135,34 @@ class MinimalityResult:
     """Per-cluster comparison of Tr(sigma Q_j) against Tr(rho Q_j).
 
     Clusters are the eigenprojections of sigma in ascending eigenvalue
-    order; ``p_tilde`` are sigma's own weights, ``q`` the weights induced
-    by rho.
+    order, with their ``degeneracies``; ``p_tilde`` are sigma's own
+    weights, ``q`` the weights induced by rho.
     """
 
     is_minimal: bool
     eigenvalues: np.ndarray
+    degeneracies: np.ndarray
     q: np.ndarray
     p_tilde: np.ndarray
     residuals: np.ndarray
+
+
+def _minimality(
+    rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition, tol: float
+) -> MinimalityResult:
+    q = np.array([np.trace(rho.matrix @ pr).real for pr in sd_s.family.projectors])
+    p_tilde = np.array([np.trace(sigma.matrix @ pr).real for pr in sd_s.family.projectors])
+    q = np.clip(q, 0.0, None)
+    p_tilde = np.clip(p_tilde, 0.0, None)
+    residuals = np.abs(p_tilde - q)
+    return MinimalityResult(
+        is_minimal=bool((residuals < tol).all()),
+        eigenvalues=sd_s.eigenvalues,
+        degeneracies=sd_s.family.degeneracies,
+        q=q,
+        p_tilde=p_tilde,
+        residuals=residuals,
+    )
 
 
 def is_minimal_pair(
@@ -151,19 +174,7 @@ def is_minimal_pair(
     """Test Tr(sigma Q_j) = Tr(rho Q_j) on every eigenprojection of sigma."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    sd = spectral_projectors(sigma.matrix, cluster_tol)
-    q = np.array([np.trace(rho.matrix @ pr).real for pr in sd.family.projectors])
-    p_tilde = np.array([np.trace(sigma.matrix @ pr).real for pr in sd.family.projectors])
-    q = np.clip(q, 0.0, None)
-    p_tilde = np.clip(p_tilde, 0.0, None)
-    residuals = np.abs(p_tilde - q)
-    return MinimalityResult(
-        is_minimal=bool((residuals < tol).all()),
-        eigenvalues=sd.eigenvalues,
-        q=q,
-        p_tilde=p_tilde,
-        residuals=residuals,
-    )
+    return _minimality(rho, sigma, spectral_projectors(sigma.matrix, cluster_tol), tol)
 
 
 def minimal_identity_check(
@@ -174,10 +185,7 @@ def minimal_identity_check(
     Below 1e-9 for every minimal pair; the counterexample shows the
     converse fails.
     """
-    rel = relative_entropy(rho, sigma, cluster_tol)
-    if math.isinf(rel):
-        return None
-    return abs(rel - (von_neumann_entropy(sigma) - von_neumann_entropy(rho)))
+    return entropy_report(rho, sigma, cluster_tol).residuals.get("minimal_identity")
 
 
 def counterexample_pair() -> tuple[DensityOperator, DensityOperator]:
@@ -214,16 +222,13 @@ def luders_entropy_check(
     Also runs the underlying proof step: the channel output together with
     the input forms a minimal pair, which is confirmed cluster by cluster.
     """
-    sigma = luders_channel(rho, family)
-    s_before = von_neumann_entropy(rho)
-    s_after = von_neumann_entropy(sigma)
-    gap = s_after - s_before
+    report = entropy_report(rho, luders_channel(rho, family), cluster_tol, tol)
     return LudersEntropyResult(
-        s_before=s_before,
-        s_after=s_after,
-        gap=gap,
-        monotone=gap >= -tol,
-        minimality=is_minimal_pair(rho, sigma, cluster_tol, tol),
+        s_before=report.s_rho,
+        s_after=report.s_sigma,
+        gap=report.gap,
+        monotone=report.gap >= -tol,
+        minimality=report.minimality,
     )
 
 
@@ -235,8 +240,12 @@ class EntropyReport:
     s_sigma: float
     rel_entropy: float  # math.inf marks divergence
     gap: float
-    is_minimal: bool
+    minimality: MinimalityResult
     residuals: dict
+
+    @property
+    def is_minimal(self) -> bool:
+        return self.minimality.is_minimal
 
     def to_json(self) -> dict:
         return {
@@ -255,11 +264,12 @@ def entropy_report(
     cluster_tol: float = CLUSTER_TOL,
     tol: float = 1e-10,
 ) -> EntropyReport:
-    """Run every pairwise entropy check and collect the residuals."""
+    """Run every pairwise entropy check, decomposing each operator once."""
     s_rho = von_neumann_entropy(rho)
     s_sigma = von_neumann_entropy(sigma)
-    rel, near_boundary = _relative_entropy_parts(rho, sigma, cluster_tol)
-    minimality = is_minimal_pair(rho, sigma, cluster_tol, tol)
+    sd_r, sd_s = _decompose(rho, sigma, cluster_tol)
+    rel, near_boundary = _relative_entropy_parts(sd_r, sd_s)
+    minimality = _minimality(rho, sigma, sd_s, tol)
     residuals = {
         "klein": 0.0 if math.isinf(rel) else max(-rel, 0.0),
         "max_minimality_deviation": float(minimality.residuals.max()),
@@ -273,6 +283,6 @@ def entropy_report(
         s_sigma=s_sigma,
         rel_entropy=rel,
         gap=s_sigma - s_rho,
-        is_minimal=minimality.is_minimal,
+        minimality=minimality,
         residuals=residuals,
     )

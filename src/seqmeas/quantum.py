@@ -2,9 +2,9 @@
 
 Dense complex matrices (numpy, complex128) carry all operators.  The module
 provides validated wrapper types (density operators, unitaries, complete
-projector families), spectral and joint eigenprojections, Lueders
-instruments, the construction of a :class:`~seqmeas.stat_model.SequentialModel`
-from quantum data, the two-point work protocol, and measurement dilation.
+projector families), spectral eigenprojections, Lueders instruments,
+the construction of a :class:`~seqmeas.stat_model.SequentialModel` from
+quantum data, the two-point work protocol, and measurement dilation.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
@@ -38,9 +38,6 @@ DEGENERACY_TOL = 1e-6
 CLUSTER_TOL = 1e-8
 #: outcome probabilities in [-PROB_CLAMP, 0) are treated as exact zeros
 PROB_CLAMP = 1e-12
-COMMUTATOR_TOL = 1e-8
-
-_JOINT_RNG_SEED = 0x5EC_AEA5
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -232,92 +229,6 @@ def spectral_projectors(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompos
         reps.append(float(w[sl].mean()))
     return SpectralDecomposition(
         eigenvalues=np.array(reps), family=ProjectorFamily(tuple(projectors))
-    )
-
-
-def joint_eigenprojections(
-    operators,
-    cluster_tol: float = CLUSTER_TOL,
-    rng: np.random.Generator | None = None,
-    retries: int = 3,
-):
-    """Common eigenprojections of mutually commuting Hermitian operators.
-
-    Returns ``(family, tuples)`` where ``tuples[k, lam]`` is the eigenvalue
-    of operator ``lam`` on projector ``k``.  Projections are maximal:
-    distinct projectors differ in at least one tuple component.
-
-    A generic random combination of the operators splits all joint
-    eigenspaces with probability one; degenerate draws are retried with
-    fresh coefficients from ``rng`` (a fixed default generator keeps the
-    operation deterministic).
-    """
-    mats = [_as_square_complex(op, "operator") for op in operators]
-    if not mats:
-        raise InputError("need at least one operator")
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise ShapeError("operators must share one dimension")
-    for m in mats:
-        dev = max_abs(m - dagger(m))
-        if dev >= HERMITIAN_TOL:
-            raise InputError(f"operator is not Hermitian (residual {dev:.3e})")
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = max_abs(mats[a] @ mats[b] - mats[b] @ mats[a])
-            if comm >= COMMUTATOR_TOL:
-                raise InputError(f"operators {a} and {b} do not commute (residual {comm:.3e})")
-
-    if len(mats) == 1:
-        sd = spectral_projectors(mats[0], cluster_tol)
-        return sd.family, sd.eigenvalues.reshape(-1, 1)
-
-    if rng is None:
-        rng = np.random.default_rng(_JOINT_RNG_SEED)
-    scale = max(max(max_abs(m) for m in mats), 1.0)
-    last_error = None
-    for _ in range(retries):
-        coeffs = rng.standard_normal(len(mats))
-        coeffs /= np.linalg.norm(coeffs)
-        combo = sum(c * m for c, m in zip(coeffs, mats))
-        sd = spectral_projectors(combo, cluster_tol)
-        projs = list(sd.family.projectors)
-        degs = sd.family.degeneracies.astype(float)
-        tuples = np.array(
-            [[float(np.trace(p @ m).real) / d for m in mats] for p, d in zip(projs, degs)]
-        )
-        # merge clusters of the combination whose joint tuples coincide
-        merged_projs: list[np.ndarray] = []
-        merged_tuples: list[np.ndarray] = []
-        for p, t in zip(projs, tuples):
-            for k, mt in enumerate(merged_tuples):
-                if np.max(np.abs(mt - t)) <= cluster_tol * scale:
-                    merged_projs[k] = merged_projs[k] + p
-                    d_old = float(np.trace(merged_projs[k]).real) - float(np.trace(p).real)
-                    d_new = float(np.trace(merged_projs[k]).real)
-                    merged_tuples[k] = (mt * d_old + t * float(np.trace(p).real)) / d_new
-                    break
-            else:
-                merged_projs.append(np.array(p))
-                merged_tuples.append(t)
-        tuples = np.array(merged_tuples)
-        # require clear separation between distinct tuples
-        separated = True
-        for a in range(len(tuples)):
-            for b in range(a + 1, len(tuples)):
-                if np.max(np.abs(tuples[a] - tuples[b])) < 10.0 * cluster_tol * scale:
-                    separated = False
-        reconstruction = max(
-            max_abs(m - sum(t[lam] * p for t, p in zip(tuples, merged_projs)))
-            for lam, m in enumerate(mats)
-        )
-        if separated and reconstruction < 1e-8 * scale:
-            return ProjectorFamily(tuple(merged_projs)), tuples
-        last_error = (
-            f"separation={separated}, reconstruction residual={reconstruction:.3e}"
-        )
-    raise InconsistentModelError(
-        f"joint diagonalisation failed after {retries} attempts ({last_error})"
     )
 
 

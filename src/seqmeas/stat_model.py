@@ -230,20 +230,11 @@ def j_equation_residual(model: SequentialModel) -> float:
 def j_equation_reverse_residual(model: SequentialModel) -> float:
     """Same identity with the two measurements' roles swapped.
 
-    Sums P~(j,i)*x(i)/x_tilde(j) over all pairs, with contribution
+    The forward residual of the transposed model (Pi^T, x_tilde, x): it
+    sums P~(j,i)*x(i)/x_tilde(j) over all pairs, with contribution
     x(i)*Pi(j|i) at points where x_tilde(j) = 0.
     """
-    pi = model.pi
-    xt = model.x_tilde
-    pos = xt > 0.0
-    total = 0.0
-    if pos.any():
-        p_rows = pi[pos] * xt[pos, np.newaxis]
-        total += float((p_rows * model.x[np.newaxis, :] / xt[pos, np.newaxis]).sum())
-    zero = ~pos
-    if zero.any():
-        total += float((model.x[np.newaxis, :] * pi[zero]).sum())
-    return abs(total - 1.0)
+    return j_equation_residual(SequentialModel(pi=model.pi.T, x=model.x_tilde, x_tilde=model.x))
 
 
 def minimal_x_tilde(model: SequentialModel) -> np.ndarray:

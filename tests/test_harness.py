@@ -191,6 +191,69 @@ class TestRunCheck:
             for key, value in replayed.items():
                 assert value == real_failures[0]["residuals"][key], (name, key)
 
+    def test_nan_residual_is_the_maximum(self, monkeypatch, capsys):
+        import dataclasses
+
+        from seqmeas.cli import main
+
+        spec = hn.CHECK_SPECS["klein"]
+
+        def nan_evaluate(rho, sigma):
+            return {**spec.evaluate(rho, sigma), "klein_violation": math.nan}
+
+        monkeypatch.setitem(
+            hn.CHECK_SPECS, "klein", dataclasses.replace(spec, evaluate=nan_evaluate)
+        )
+        config = hn.ExperimentConfig(seed=1, dims=(2,), trials=3, check_set=("klein",))
+        outcome = hn.run_check("klein", config)
+        assert not outcome.passed
+        assert math.isnan(outcome.residual_maxima["klein_violation"])
+        assert main(["klein", "--dims", "2", "--trials", "3", "--seed", "1"]) == 1
+        line = next(l for l in capsys.readouterr().out.splitlines() if "klein_violation" in l)
+        assert line.split()[-1] == "FAIL"
+
+    def test_tol_override_leaves_verdict_gates(self, monkeypatch):
+        import dataclasses
+
+        config = hn.ExperimentConfig(seed=4, dims=(2,), trials=2, tol=2.0)
+        for name in ("luders", "minimal"):
+            tolerances = hn.run_check(name, config).tolerances
+            assert tolerances["non_minimal_trials"] == 0.5
+            assert all(v == 2.0 for k, v in tolerances.items() if k != "non_minimal_trials")
+        spec = hn.CHECK_SPECS["counterexample"]
+
+        def judged_minimal():
+            return {**spec.evaluate(), "minimality_verdict": 1.0}
+
+        monkeypatch.setitem(
+            hn.CHECK_SPECS, "counterexample", dataclasses.replace(spec, evaluate=judged_minimal)
+        )
+        outcome = hn.run_check("counterexample", config)
+        assert outcome.tolerances["minimality_verdict"] == 0.5
+        assert not outcome.passed
+
+    def test_entropy_trials_decompose_each_operator_once(self, monkeypatch):
+        import seqmeas.entropy as ent
+
+        calls = []
+        original = qm.spectral_projectors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qm, "spectral_projectors", counting)
+        monkeypatch.setattr(ent, "spectral_projectors", counting)
+        config = hn.ExperimentConfig(seed=7, dims=(3, 4), trials=4)
+        # luders and minimal: rho and its Lueders image; klein: rho, sigma, then
+        # rho once more for S(rho||rho)
+        for name, expected in (("luders", 2), ("minimal", 2), ("klein", 3)):
+            spec = hn.CHECK_SPECS[name]
+            inputs, _ = spec.generate(hn.trial_rng(config.seed, name, 1), config, 1)
+            calls.clear()
+            spec.evaluate(**inputs)
+            assert len(calls) == expected, name
+
     def test_replay_rejects_malformed_bundles(self):
         with pytest.raises(InputError):
             hn.replay_failure({"inputs": {}})

@@ -133,49 +133,6 @@ class TestSpectralProjectors:
             assert (gaps > 1e-8).all()
 
 
-class TestJointEigenprojections:
-    def test_single_operator_matches_spectral(self):
-        rng = rng_for("joint-single")
-        a = random_density(5, rng=rng).matrix
-        fam, tuples = qm.joint_eigenprojections([a])
-        sd = qm.spectral_projectors(a)
-        assert len(fam) == len(sd.family)
-        np.testing.assert_allclose(tuples[:, 0], sd.eigenvalues)
-
-    def test_diagonal_pair(self):
-        a = np.diag([1.0, 1.0, 2.0])
-        b = np.diag([3.0, 4.0, 4.0])
-        fam, tuples = qm.joint_eigenprojections([a, b])
-        assert len(fam) == 3
-        assert fam.degeneracies.tolist() == [1, 1, 1]
-        got = {(round(t[0]), round(t[1])) for t in tuples}
-        assert got == {(1, 3), (1, 4), (2, 4)}
-
-    def test_function_of_operator_adds_no_refinement(self):
-        rng = rng_for("joint-square")
-        a = random_density(4, rng=rng).matrix + 0.5 * np.eye(4)  # distinct positive spectrum
-        fam, tuples = qm.joint_eigenprojections([a, a @ a])
-        sd = qm.spectral_projectors(a)
-        assert len(fam) == len(sd.family)
-        np.testing.assert_allclose(np.sort(tuples[:, 0]), sd.eigenvalues, atol=1e-10)
-
-    def test_reconstruction(self):
-        rng = rng_for("joint-recon")
-        u = random_unitary(6, rng).matrix
-        spectra = [rng.integers(0, 3, 6).astype(float) for _ in range(3)]
-        ops = [(u * s) @ u.conj().T for s in spectra]
-        fam, tuples = qm.joint_eigenprojections(ops, rng=rng)
-        for lam, op in enumerate(ops):
-            recon = sum(t[lam] * p for t, p in zip(tuples, fam.projectors))
-            assert qm.max_abs(recon - op) < 1e-8
-
-    def test_non_commuting_rejected(self):
-        a = np.diag([1.0, -1.0])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InputError):
-            qm.joint_eigenprojections([a, b])
-
-
 class TestMeasurementStatistics:
     def test_maximally_mixed(self):
         rho = qm.DensityOperator(np.eye(2) / 2)

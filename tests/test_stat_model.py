@@ -213,6 +213,22 @@ class TestJEquation:
             assert sm.j_equation_residual(model) < 1e-9
             assert sm.j_equation_reverse_residual(model) < 1e-9
 
+    def test_reverse_is_forward_of_transposed_model(self):
+        rng = np.random.default_rng(12)
+        for k in range(200):
+            model = random_abstract_model(rng, zero_x=k % 3 == 0, zero_x_tilde=k % 2 == 0)
+            transposed = sm.SequentialModel(pi=model.pi.T, x=model.x_tilde, x_tilde=model.x)
+            # the regularised reverse sum written out: P~(j,i) x(i)/x_tilde(j),
+            # and x(i) Pi(j|i) where x_tilde(j) = 0
+            pos = model.x_tilde > 0.0
+            p_rows = model.pi[pos] * model.x_tilde[pos, np.newaxis]
+            total = float((p_rows * model.x[np.newaxis, :] / model.x_tilde[pos, np.newaxis]).sum())
+            if not pos.all():
+                total += float((model.x[np.newaxis, :] * model.pi[~pos]).sum())
+            reverse = sm.j_equation_reverse_residual(model)
+            assert reverse == sm.j_equation_residual(transposed)
+            assert reverse == abs(total - 1.0)
+
     def test_swap_symmetric_model(self):
         pi = np.array([[0.2, 0.3], [0.3, 0.4]])
         x = np.ones(2) / (pi.sum())
