@@ -137,11 +137,8 @@ class CheckOutcome:
 
     @property
     def max_residual(self) -> float:
-        finite = [v for v in self.residual_maxima.values() if math.isfinite(v)]
-        worst = max(finite) if finite else 0.0
-        if any(not math.isfinite(v) for v in self.residual_maxima.values()):
-            return math.inf
-        return worst
+        values = self.residual_maxima.values()
+        return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
     def to_json(self) -> dict:
         return {
@@ -225,15 +222,7 @@ def random_pvm(dim: int, ranks, rng: np.random.Generator) -> qm.ProjectorFamily:
     ranks = [int(r) for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != dim:
         raise InputError(f"ranks {ranks} must be positive and sum to dim={dim}")
-    u = random_unitary(dim, rng).matrix
-    projectors = []
-    start = 0
-    for r in ranks:
-        block = u[:, start:start + r]
-        p = block @ block.conj().T
-        projectors.append(0.5 * (p + p.conj().T))
-        start += r
-    return qm.ProjectorFamily(tuple(projectors))
+    return qm.ProjectorFamily._from_columns(random_unitary(dim, rng).matrix, ranks)
 
 
 def random_ranks(dim: int, rng: np.random.Generator, degenerate: bool) -> list:
@@ -714,15 +703,15 @@ def n_trials(name: str, config: ExperimentConfig) -> int:
     return max(1, round(spec.trial_fraction * config.trials))
 
 
+def _gates(pinned: dict, tol) -> dict:
+    """The ``pinned`` gates, each set to ``tol`` if one is given, except the 0/1 verdicts."""
+    return {k: g if tol is None or k in _VERDICT_KEYS else float(tol) for k, g in pinned.items()}
+
+
 def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
     """Run one named check over its deterministic trial streams."""
     spec = CHECK_SPECS[name]
-    tolerances = dict(spec.tolerances)
-    if config.tol is not None:
-        tolerances = {
-            k: gate if k in _VERDICT_KEYS else float(config.tol)
-            for k, gate in tolerances.items()
-        }
+    tolerances = _gates(spec.tolerances, config.tol)
     trials = n_trials(name, config)
     maxima = {k: 0.0 for k in tolerances}
     counters: dict = {}
@@ -770,7 +759,7 @@ def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
                 }
             )
     if spec.fixed is not None:
-        fixed_tols = dict(spec.fixed_tolerances)
+        fixed_tols = _gates(spec.fixed_tolerances, config.tol)
         extras = spec.fixed()
         bad = {}
         for key, value in extras.items():

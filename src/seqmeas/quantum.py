@@ -5,6 +5,8 @@ provides validated wrapper types (density operators, unitaries, complete
 projector families), spectral eigenprojections, Lueders instruments,
 the construction of a :class:`~seqmeas.stat_model.SequentialModel` from
 quantum data, the two-point work protocol, and measurement dilation.
+Public constructors (and so JSON loading) validate every axiom; families
+built from orthonormal columns are checked once, through ``V†V = I``.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
@@ -166,6 +168,30 @@ class ProjectorFamily:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_degeneracies", np.array(degs, dtype=int))
 
+    @classmethod
+    def _from_columns(cls, v: np.ndarray, widths) -> "ProjectorFamily":
+        """Family ``P_a = B_a B_a†`` of the consecutive column blocks ``B_a`` of a square ``v``.
+
+        ``widths`` (positive, summing to the dimension d) become the degeneracies.
+        The one check ``|E|_max < eps = PROJECTOR_TOL / d**2`` on ``E = V†V - I``
+        implies every axiom ``__post_init__`` checks: ``VV† - I`` has the spectrum of
+        ``E``, so completeness holds to ``d eps``; ``P_a P_b - delta_ab P_a =
+        B_a E_ab B_b†`` is ``O(d eps)``; ``Tr P_a = w_a + Tr E_aa`` is within ``d eps``
+        of ``w_a``; and ``0.5 (p + p†)`` is exactly Hermitian in floating point.
+        """
+        dev = max_abs(dagger(v) @ v - np.eye(len(v)))
+        if dev >= PROJECTOR_TOL / len(v) ** 2:
+            raise InvalidOperatorError("columns are not orthonormal", "orthonormal", dev)
+        projectors = []
+        for block in np.split(v, np.cumsum(widths)[:-1], axis=1):
+            p = block @ dagger(block)
+            projectors.append(_frozen(0.5 * (p + dagger(p))))
+        family = object.__new__(cls)
+        object.__setattr__(family, "projectors", tuple(projectors))
+        object.__setattr__(family, "labels", tuple(range(len(projectors))))
+        object.__setattr__(family, "_degeneracies", np.array(widths, dtype=int))
+        return family
+
     def __len__(self) -> int:
         return len(self.projectors)
 
@@ -220,15 +246,10 @@ def spectral_projectors(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompos
     if cluster_tol <= 0:
         raise InputError("cluster_tol must be positive")
     w, v = hermitian_eigendecomposition(a)
-    projectors = []
-    reps = []
-    for sl in _cluster_slices(w, cluster_tol):
-        block = v[:, sl]
-        p = block @ dagger(block)
-        projectors.append(0.5 * (p + dagger(p)))
-        reps.append(float(w[sl].mean()))
+    slices = _cluster_slices(w, cluster_tol)
     return SpectralDecomposition(
-        eigenvalues=np.array(reps), family=ProjectorFamily(tuple(projectors))
+        eigenvalues=np.array([float(w[sl].mean()) for sl in slices]),
+        family=ProjectorFamily._from_columns(v, [sl.stop - sl.start for sl in slices]),
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 import seqmeas.harness as hn
 import seqmeas.quantum as qm
 from seqmeas.entropy import von_neumann_entropy
-from seqmeas.errors import ConfigError, InputError
+from seqmeas.errors import ConfigError, InputError, InvalidOperatorError
 
 
 class TestRandomDensity:
@@ -64,6 +64,23 @@ class TestRandomPvm:
         fam = hn.random_pvm(4, [2, 2], np.random.default_rng(8))
         completeness = qm.max_abs(sum(fam.projectors) - np.eye(4))
         assert completeness < 1e-12
+
+    def test_equals_validated_family(self):
+        for ranks in ([1], [3], [1, 1, 1, 1], [2, 2], [1, 3, 2], [5, 1, 1, 1]):
+            dim = sum(ranks)
+            fam = hn.random_pvm(dim, ranks, np.random.default_rng(11))
+            u = hn.random_unitary(dim, np.random.default_rng(11)).matrix
+            projectors = []
+            start = 0
+            for r in ranks:
+                p = u[:, start:start + r] @ u[:, start:start + r].conj().T
+                projectors.append(0.5 * (p + p.conj().T))
+                start += r
+            ref = qm.ProjectorFamily(tuple(projectors))
+            for got, want in zip(fam.projectors, ref.projectors, strict=True):
+                assert np.array_equal(got, want)
+            assert fam.labels == ref.labels
+            assert np.array_equal(fam.degeneracies, ref.degeneracies)
 
     def test_rank_sum_mismatch(self):
         with pytest.raises(InputError):
@@ -208,6 +225,8 @@ class TestRunCheck:
         outcome = hn.run_check("klein", config)
         assert not outcome.passed
         assert math.isnan(outcome.residual_maxima["klein_violation"])
+        assert math.isnan(outcome.max_residual)
+        assert outcome.to_json()["max_residual"] == "nan"
         assert main(["klein", "--dims", "2", "--trials", "3", "--seed", "1"]) == 1
         line = next(l for l in capsys.readouterr().out.splitlines() if "klein_violation" in l)
         assert line.split()[-1] == "FAIL"
@@ -231,6 +250,42 @@ class TestRunCheck:
         outcome = hn.run_check("counterexample", config)
         assert outcome.tolerances["minimality_verdict"] == 0.5
         assert not outcome.passed
+
+    def test_tol_override_moves_fixed_gates(self):
+        config = hn.ExperimentConfig(seed=4, dims=(2,), trials=2, tol=2.0)
+        tolerances = hn.run_check("dilation", config).tolerances
+        assert set(hn.CHECK_SPECS["dilation"].fixed_tolerances) < set(tolerances)
+        assert all(v == 2.0 for v in tolerances.values())
+
+    def test_trials_build_no_validated_family(self, monkeypatch):
+        calls = []
+        original = qm.ProjectorFamily.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(qm.ProjectorFamily, "__post_init__", counting)
+        config = hn.ExperimentConfig(seed=7, dims=(3, 4), trials=4)
+        for name in ("luders", "jcheck"):
+            spec = hn.CHECK_SPECS[name]
+            inputs, _ = spec.generate(hn.trial_rng(config.seed, name, 1), config, 1)
+            spec.evaluate(**inputs)
+        assert calls == []
+        qm.ProjectorFamily((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))  # the patch counts
+        assert calls == [1]
+
+    def test_replay_validates_a_tampered_family(self):
+        config = hn.ExperimentConfig(seed=5, dims=(3,), trials=2, tol=1e-300,
+                                     check_set=("luders",))
+        bundle = hn.run_check("luders", config).failures[0]
+        entries = bundle["inputs"]["projectors"][0]["entries"]
+        for row in entries:
+            for pair in row:
+                pair[0] *= 1.01
+                pair[1] *= 1.01
+        with pytest.raises(InvalidOperatorError):
+            hn.replay_failure(json.loads(json.dumps(bundle)))
 
     def test_entropy_trials_decompose_each_operator_once(self, monkeypatch):
         import seqmeas.entropy as ent

@@ -132,6 +132,40 @@ class TestSpectralProjectors:
             gaps = np.diff(sd.eigenvalues)
             assert (gaps > 1e-8).all()
 
+    def test_column_family_equals_validated_family(self):
+        rng = rng_for("column-family")
+        for dim in (2, 5, 8, 16, 64):
+            # a few distinct levels, so most clusters are degenerate
+            levels = rng.integers(0, max(2, dim // 3), size=dim).astype(float)
+            levels[1] = levels[0]
+            u = random_unitary(dim, rng).matrix
+            h = (u * levels) @ u.conj().T
+            h = 0.5 * (h + h.conj().T)
+            sd = qm.spectral_projectors(h)
+            # reference: the same projectors through the fully validating constructor
+            w, v = qm.hermitian_eigendecomposition(h)
+            projectors = []
+            for sl in qm._cluster_slices(w, qm.CLUSTER_TOL):
+                p = v[:, sl] @ v[:, sl].conj().T
+                projectors.append(0.5 * (p + p.conj().T))
+            ref = qm.ProjectorFamily(tuple(projectors))
+            assert len(sd.family) == len(ref) < dim
+            for got, want in zip(sd.family.projectors, ref.projectors):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert sd.family.labels == ref.labels
+            assert np.array_equal(sd.family.degeneracies, ref.degeneracies)
+
+    def test_column_family_rejects_non_orthonormal_columns(self):
+        rng = rng_for("column-perturbed")
+        for dim in (2, 5, 16):
+            v = random_unitary(dim, rng).matrix
+            eps = qm.PROJECTOR_TOL / dim**2
+            qm.ProjectorFamily._from_columns(v * (1 + 0.01 * eps), [dim])
+            with pytest.raises(InvalidOperatorError) as err:
+                qm.ProjectorFamily._from_columns(v * (1 + eps), [1] * dim)
+            assert err.value.constraint == "orthonormal"
+
 
 class TestMeasurementStatistics:
     def test_maximally_mixed(self):
