@@ -10,12 +10,27 @@ run ``config.trials`` trials; ``jarzynski`` and ``dilation`` run 30% of
 that (their acceptance budgets are 300 against 1000); ``counterexample``
 is a single fixed instance.  ``chain`` replays the exact instance stream
 of ``jcheck`` so both checks see the same models.
+
+Dispatch: one loop, ``_trial_records``, turns a range of trials into one
+record per trial (residuals, generated counters, failure bundle or None),
+and ``_outcome`` folds the records in trial order into a check's maxima,
+counters and failures.  :func:`run_check` runs the loop over every trial in
+this process.  :func:`run_suite` does the same when only one CPU is
+available or it already runs inside a worker process; otherwise it starts
+``min(CPUs, checks)`` spawned worker processes, each with BLAS pinned to
+one thread, and sends each check's trials to them in contiguous chunks,
+four per worker.  Checks still run one after another in ``CHECK_ORDER``,
+and the fold is the same, so the report is the same bit for bit on both
+paths; each check's ``duration_seconds`` is its wall time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -201,15 +216,20 @@ def random_density(dim: int, rank: int | None = None, rng: np.random.Generator =
     return qm.DensityOperator(m / np.trace(m).real)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> qm.Unitary:
-    """Haar-distributed unitary via QR with the positive-diagonal phase fix."""
+def _haar_columns(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary matrix via QR with the positive-diagonal phase fix."""
     if dim < 1:
         raise InputError("dim must be positive")
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
-    return qm.Unitary(q * phases[np.newaxis, :])
+    return q * phases[np.newaxis, :]
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> qm.Unitary:
+    """Haar-distributed unitary."""
+    return qm.Unitary(_haar_columns(dim, rng))
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,7 +242,8 @@ def random_pvm(dim: int, ranks, rng: np.random.Generator) -> qm.ProjectorFamily:
     ranks = [int(r) for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != dim:
         raise InputError(f"ranks {ranks} must be positive and sum to dim={dim}")
-    return qm.ProjectorFamily._from_columns(random_unitary(dim, rng).matrix, ranks)
+    # _from_columns checks the columns' orthonormality, so no Unitary is built
+    return qm.ProjectorFamily._from_columns(_haar_columns(dim, rng), ranks)
 
 
 def random_ranks(dim: int, rng: np.random.Generator, degenerate: bool) -> list:
@@ -708,56 +729,69 @@ def _gates(pinned: dict, tol) -> dict:
     return {k: g if tol is None or k in _VERDICT_KEYS else float(tol) for k, g in pinned.items()}
 
 
-def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
-    """Run one named check over its deterministic trial streams."""
+def _trial_records(name: str, config: ExperimentConfig, trials: range) -> list:
+    """``(trial, residuals, generated counters, failure bundle or None)`` per trial, in order.
+
+    The one trial loop of the suite: :func:`run_check` runs it over every
+    trial in process, and :func:`run_suite` sends contiguous ranges of it to
+    worker processes, which is why it takes only picklable arguments.
+    """
     spec = CHECK_SPECS[name]
     tolerances = _gates(spec.tolerances, config.tol)
-    trials = n_trials(name, config)
-    maxima = {k: 0.0 for k in tolerances}
-    counters: dict = {}
-    failures: list = []
-    started = time.perf_counter()
-    for trial in range(trials):
-        rng = trial_rng(config.seed, spec.rng_alias or name, trial)
-        derivation = [config.seed, _CHECK_IDS[spec.rng_alias or name], trial]
+    stream = spec.rng_alias or name
+    records = []
+    for trial in trials:
+        derivation = [config.seed, _CHECK_IDS[stream], trial]
         try:
-            inputs, generated_counters = spec.generate(rng, config, trial)
+            inputs, generated_counters = spec.generate(
+                trial_rng(config.seed, stream, trial), config, trial
+            )
             residuals = spec.evaluate(**inputs)
         except (SeqMeasError, np.linalg.LinAlgError) as exc:
             # a broken instance aborts its trial, never the run, and
             # leaves enough behind to regenerate it deterministically
-            failures.append(
-                {
-                    "check": name,
-                    "trial": trial,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "residuals": {},
-                    "inputs": {},
-                    "seed_derivation": derivation,
-                }
-            )
+            failure = {
+                "check": name,
+                "trial": trial,
+                "error": f"{type(exc).__name__}: {exc}",
+                "residuals": {},
+                "inputs": {},
+                "seed_derivation": derivation,
+            }
+            records.append((trial, {}, {}, failure))
             continue
-        bad = {}
+        failure = None
+        if any(not v <= tolerances[k] for k, v in residuals.items() if k in tolerances):
+            # ``not <=`` catches inf and nan
+            failure = {
+                "check": name,
+                "trial": trial,
+                "residuals": {k: _json_float(v) for k, v in residuals.items()},
+                "inputs": spec.serialize(**inputs),
+                "seed_derivation": derivation,
+            }
+        records.append((trial, residuals, generated_counters, failure))
+    return records
+
+
+def _outcome(name: str, config: ExperimentConfig, records, started: float) -> CheckOutcome:
+    """Fold the trial records, in trial order, into one check's outcome."""
+    spec = CHECK_SPECS[name]
+    tolerances = _gates(spec.tolerances, config.tol)
+    maxima = {k: 0.0 for k in tolerances}
+    counters: dict = {}
+    failures: list = []
+    for _, residuals, generated_counters, failure in records:
         for key, value in residuals.items():
             if key in tolerances:
                 if value > maxima[key] or math.isnan(value):  # a NaN sticks
                     maxima[key] = value
-                if not value <= tolerances[key]:  # catches inf and nan
-                    bad[key] = value
             else:
                 counters[key] = counters.get(key, 0.0) + value
         for key, value in generated_counters.items():
             counters[key] = counters.get(key, 0.0) + value
-        if bad:
-            failures.append(
-                {
-                    "check": name,
-                    "trial": trial,
-                    "residuals": {k: _json_float(v) for k, v in residuals.items()},
-                    "inputs": spec.serialize(**inputs),
-                    "seed_derivation": derivation,
-                }
-            )
+        if failure is not None:
+            failures.append(failure)
     if spec.fixed is not None:
         fixed_tols = _gates(spec.fixed_tolerances, config.tol)
         extras = spec.fixed()
@@ -778,7 +812,7 @@ def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
             )
     return CheckOutcome(
         name=name,
-        trials=trials,
+        trials=n_trials(name, config),
         residual_maxima=maxima,
         tolerances=tolerances,
         counters=counters,
@@ -788,11 +822,90 @@ def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
     )
 
 
+def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
+    """Run one named check over its deterministic trial streams, in this process."""
+    started = time.perf_counter()
+    records = _trial_records(name, config, range(n_trials(name, config)))
+    return _outcome(name, config, records, started)
+
+
+#: trial chunks per worker process and check, so that uneven trials balance
+_CHUNKS_PER_WORKER = 4
+
+#: BLAS thread-count variables set to 1 while a worker pool lives
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_workers(n_checks: int) -> int:
+    """Worker processes for a suite of ``n_checks`` checks; fewer than 2 means none."""
+    import multiprocessing  # here, not at import: the pool's imports cost ~20 ms
+
+    if multiprocessing.parent_process() is not None:
+        return 1  # already a worker: never nest pools
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if main_file is not None and not os.path.isfile(main_file):
+        return 1  # e.g. a script read from stdin, which a spawned process cannot re-import
+    return min(_cpu_count(), n_checks)
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """Spawned worker processes, each with BLAS pinned to one thread.
+
+    The workers share the CPUs; a BLAS thread pool in each would
+    oversubscribe them.  ``os.environ`` is restored when the pool closes.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+def _pooled_check(pool, workers: int, name: str, config: ExperimentConfig) -> CheckOutcome:
+    """One check with its trials sent to ``pool`` in contiguous chunks."""
+    started = time.perf_counter()
+    trials = n_trials(name, config)
+    size = -(-trials // (_CHUNKS_PER_WORKER * workers))
+    chunks = [
+        pool.submit(_trial_records, name, config, range(lo, min(lo + size, trials)))
+        for lo in range(0, trials, size)
+    ]
+    records = [record for chunk in chunks for record in chunk.result()]
+    return _outcome(name, config, records, started)
+
+
 def run_suite(config: ExperimentConfig) -> ExperimentReport:
-    """Run every requested check; the report is reproducible bit for bit."""
+    """Run every requested check; the report is reproducible bit for bit.
+
+    With more than one CPU the trials go to a pool of worker processes;
+    the report is the same either way, durations aside.
+    """
     started = time.perf_counter()
     ordered = [name for name in CHECK_ORDER if name in config.check_set]
-    checks = [run_check(name, config) for name in ordered]
+    workers = _pool_workers(len(ordered))
+    if workers < 2:
+        checks = [run_check(name, config) for name in ordered]
+    else:
+        with _worker_pool(workers) as pool:
+            checks = [_pooled_check(pool, workers, name, config) for name in ordered]
     return ExperimentReport(
         config=config,
         checks=checks,

@@ -1,7 +1,12 @@
 """Tests for the generators, the suite runner and failure replay."""
 
+import concurrent.futures
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +86,21 @@ class TestRandomPvm:
                 assert np.array_equal(got, want)
             assert fam.labels == ref.labels
             assert np.array_equal(fam.degeneracies, ref.degeneracies)
+
+    def test_builds_no_unitary(self, monkeypatch):
+        # _from_columns checks the Haar columns; a Unitary would check them again
+        calls = []
+        original = qm.Unitary.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(qm.Unitary, "__post_init__", counting)
+        hn.random_pvm(4, [1, 3], np.random.default_rng(12))
+        assert calls == []
+        hn.random_unitary(4, np.random.default_rng(12))  # the patch counts
+        assert calls == [1]
 
     def test_rank_sum_mismatch(self):
         with pytest.raises(InputError):
@@ -363,3 +383,79 @@ class TestRunSuite:
         assert doc["passed"] is True
         assert {c["name"] for c in doc["checks"]} == set(hn.CHECK_ORDER)
         assert doc["config"]["seed"] == 8
+
+
+def _in_process_fingerprint(config) -> str:
+    """SHA-256 of the fingerprint of a report built from in-process ``run_check`` calls."""
+    checks = [hn.run_check(name, config) for name in hn.CHECK_ORDER if name in config.check_set]
+    report = hn.ExperimentReport(config, checks, 0.0, all(c.passed for c in checks))
+    return _sha256(report.fingerprint())
+
+
+def _sha256(text: str) -> str:
+    # digests keep a failed comparison from diffing megabytes of JSON
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestParallelSuite:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Report two CPUs, so the pool runs on any machine; record each pool made."""
+        made = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return made
+
+    @pytest.mark.parametrize("tol", [None, 1e-300])
+    def test_pool_matches_in_process_bit_for_bit(self, pools, tol):
+        # 40 trials over 2 workers go out in chunks of 5; at tol=1e-300 most
+        # trials write a failure bundle, so their order and inputs are pinned too
+        config = hn.ExperimentConfig(seed=21, dims=(2, 3, 5), trials=40, tol=tol)
+        report = hn.run_suite(config)
+        assert pools == [(2,)]
+        assert _sha256(report.fingerprint()) == _in_process_fingerprint(config)
+        if tol is not None:
+            jcheck = report.checks[0]
+            assert [f["trial"] for f in jcheck.failures] == list(range(40))
+
+    def test_one_cpu_makes_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(hn, "_cpu_count", lambda: 1)
+        config = hn.ExperimentConfig(seed=21, dims=(2,), trials=3)
+        report = hn.run_suite(config)
+        assert pools == []
+        assert _sha256(report.fingerprint()) == _in_process_fingerprint(config)
+
+    def test_environment_is_restored(self, pools, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        hn.run_suite(hn.ExperimentConfig(seed=21, dims=(2,), trials=3))
+        assert pools == [(2,)]
+        assert dict(os.environ) == before
+
+    def test_cli_suite_in_a_fresh_interpreter(self, tmp_path):
+        # start-method mistakes only show up in a new process
+        config = {"seed": 9, "dims": [2, 3], "trials": 6}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        src = os.path.dirname(os.path.dirname(hn.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        env.pop("SEQMEAS_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqmeas.cli", "suite", "--config", "config.json",
+             "--out", "report.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = json.loads((tmp_path / "report.json").read_text())
+        written.pop("duration_seconds")
+        for check in written["checks"]:
+            check.pop("duration_seconds")
+        expected = _in_process_fingerprint(hn.ExperimentConfig.from_json(config))
+        assert _sha256(json.dumps(written, sort_keys=True)) == expected
