@@ -17,19 +17,15 @@ from .errors import (
 )
 from .stat_model import (
     ChainEntropies,
-    ConditionalPi,
     ConstraintViolation,
-    JointDistribution,
     MarginalSet,
     RatioObservable,
     SequentialModel,
-    conditional_pi,
     degeneracy_marginals,
     entropy_chain,
     expectation_regularized,
     j_equation_residual,
     j_equation_reverse_residual,
-    joint_distributions,
     marginal_set,
     minimal_x_tilde,
     model_from_json,
@@ -53,10 +49,8 @@ from .quantum import (
     hermitian_eigendecomposition,
     identity_unitary,
     luders_channel,
-    luders_select,
     matrix_from_json,
     matrix_to_json,
-    minimal_p_tilde,
     outcome_probabilities,
     partial_trace,
     spectral_projectors,
@@ -66,13 +60,11 @@ from .quantum import (
 from .entropy import (
     EntropyReport,
     KleinResult,
-    LudersEntropyResult,
     MinimalityResult,
     counterexample_pair,
     entropy_report,
     is_minimal_pair,
     klein_check,
-    luders_entropy_check,
     minimal_identity_check,
     relative_entropy,
     von_neumann_entropy,

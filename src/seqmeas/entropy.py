@@ -1,10 +1,10 @@
 """Entropy functionals and theorem checkers for density-operator pairs.
 
 Von Neumann entropy, relative entropy through the spectral double sum,
-Klein's inequality, minimal pairs and their entropy identity, the explicit
-non-minimal counterexample on C^2 o C^2, and the Lueders entropy-increase
-check.  All entropies are in nats; +infinity is signalled by ``math.inf``
-and every consumer branches on it explicitly.
+Klein's inequality, minimal pairs and their entropy identity, and the
+explicit non-minimal counterexample on C^2 o C^2.  All entropies are in
+nats; +infinity is signalled by ``math.inf`` and every consumer branches on
+it explicitly.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .quantum import (
-    CLUSTER_TOL,
     DensityOperator,
-    ProjectorFamily,
     SpectralDecomposition,
-    luders_channel,
     partial_trace,
     spectral_projectors,
     tensor_product,
@@ -32,6 +29,8 @@ EIGENVALUE_CLAMP = 1e-10
 SUPPORT_EPS = 1e-12
 #: overlap with a zero-weight eigenspace above this triggers divergence
 OVERLAP_EPS = 1e-10
+#: tolerance of the Klein and minimality verdicts
+VERDICT_TOL = 1e-10
 
 
 def _clamped_spectrum(eigs: np.ndarray) -> np.ndarray:
@@ -49,13 +48,13 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def _decompose(
-    rho: DensityOperator, sigma: DensityOperator, cluster_tol: float
+    rho: DensityOperator, sigma: DensityOperator
 ) -> tuple[SpectralDecomposition, SpectralDecomposition]:
     """Spectral decompositions of rho and sigma; a shared operator is decomposed once."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    sd_r = spectral_projectors(rho.matrix, cluster_tol)
-    sd_s = sd_r if sigma is rho else spectral_projectors(sigma.matrix, cluster_tol)
+    sd_r = spectral_projectors(rho.matrix)
+    sd_s = sd_r if sigma is rho else spectral_projectors(sigma.matrix)
     return sd_r, sd_s
 
 
@@ -98,15 +97,13 @@ def _relative_entropy_parts(
     return tr_rho_log_rho - tr_rho_log_sigma, near_boundary
 
 
-def relative_entropy(
-    rho: DensityOperator, sigma: DensityOperator, cluster_tol: float = CLUSTER_TOL
-) -> float:
+def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """S(rho||sigma) = Tr(rho log rho) - Tr(rho log sigma); may be math.inf.
 
     Computed from the spectral clusters of both operators; the result is
     +infinity when rho has weight on an eigenspace where sigma vanishes.
     """
-    value, _ = _relative_entropy_parts(*_decompose(rho, sigma, cluster_tol))
+    value, _ = _relative_entropy_parts(*_decompose(rho, sigma))
     return value
 
 
@@ -119,15 +116,10 @@ class KleinResult:
     passed: bool
 
 
-def klein_check(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    cluster_tol: float = CLUSTER_TOL,
-    tol: float = 1e-10,
-) -> KleinResult:
-    value = relative_entropy(rho, sigma, cluster_tol)
+def klein_check(rho: DensityOperator, sigma: DensityOperator) -> KleinResult:
+    value = relative_entropy(rho, sigma)
     residual = 0.0 if math.isinf(value) else max(-value, 0.0)
-    return KleinResult(value=value, residual=residual, passed=residual <= tol)
+    return KleinResult(value=value, residual=residual, passed=residual <= VERDICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ class MinimalityResult:
 
 
 def _minimality(
-    rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition, tol: float
+    rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition
 ) -> MinimalityResult:
     q = np.array([np.trace(rho.matrix @ pr).real for pr in sd_s.family.projectors])
     p_tilde = np.array([np.trace(sigma.matrix @ pr).real for pr in sd_s.family.projectors])
@@ -156,7 +148,7 @@ def _minimality(
     p_tilde = np.clip(p_tilde, 0.0, None)
     residuals = np.abs(p_tilde - q)
     return MinimalityResult(
-        is_minimal=bool((residuals < tol).all()),
+        is_minimal=bool((residuals < VERDICT_TOL).all()),
         eigenvalues=sd_s.eigenvalues,
         degeneracies=sd_s.family.degeneracies,
         q=q,
@@ -165,27 +157,20 @@ def _minimality(
     )
 
 
-def is_minimal_pair(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    cluster_tol: float = CLUSTER_TOL,
-    tol: float = 1e-10,
-) -> MinimalityResult:
+def is_minimal_pair(rho: DensityOperator, sigma: DensityOperator) -> MinimalityResult:
     """Test Tr(sigma Q_j) = Tr(rho Q_j) on every eigenprojection of sigma."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _minimality(rho, sigma, spectral_projectors(sigma.matrix, cluster_tol), tol)
+    return _minimality(rho, sigma, spectral_projectors(sigma.matrix))
 
 
-def minimal_identity_check(
-    rho: DensityOperator, sigma: DensityOperator, cluster_tol: float = CLUSTER_TOL
-) -> float | None:
+def minimal_identity_check(rho: DensityOperator, sigma: DensityOperator) -> float | None:
     """|S(rho||sigma) - (S(sigma) - S(rho))|, or None when the left side diverges.
 
     Below 1e-9 for every minimal pair; the counterexample shows the
     converse fails.
     """
-    return entropy_report(rho, sigma, cluster_tol).residuals.get("minimal_identity")
+    return entropy_report(rho, sigma).residuals.get("minimal_identity")
 
 
 def counterexample_pair() -> tuple[DensityOperator, DensityOperator]:
@@ -200,36 +185,6 @@ def counterexample_pair() -> tuple[DensityOperator, DensityOperator]:
     rho2 = partial_trace(rho_m, (2, 2), keep=2)
     sigma_m = tensor_product(rho1, rho2)
     return DensityOperator(rho_m), DensityOperator(sigma_m)
-
-
-@dataclass(frozen=True)
-class LudersEntropyResult:
-    s_before: float
-    s_after: float
-    gap: float
-    monotone: bool
-    minimality: MinimalityResult
-
-
-def luders_entropy_check(
-    rho: DensityOperator,
-    family: ProjectorFamily,
-    cluster_tol: float = CLUSTER_TOL,
-    tol: float = 1e-10,
-) -> LudersEntropyResult:
-    """Verify that the non-selective Lueders channel does not lower entropy.
-
-    Also runs the underlying proof step: the channel output together with
-    the input forms a minimal pair, which is confirmed cluster by cluster.
-    """
-    report = entropy_report(rho, luders_channel(rho, family), cluster_tol, tol)
-    return LudersEntropyResult(
-        s_before=report.s_rho,
-        s_after=report.s_sigma,
-        gap=report.gap,
-        monotone=report.gap >= -tol,
-        minimality=report.minimality,
-    )
 
 
 @dataclass(frozen=True)
@@ -258,18 +213,13 @@ class EntropyReport:
         }
 
 
-def entropy_report(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    cluster_tol: float = CLUSTER_TOL,
-    tol: float = 1e-10,
-) -> EntropyReport:
+def entropy_report(rho: DensityOperator, sigma: DensityOperator) -> EntropyReport:
     """Run every pairwise entropy check, decomposing each operator once."""
     s_rho = von_neumann_entropy(rho)
     s_sigma = von_neumann_entropy(sigma)
-    sd_r, sd_s = _decompose(rho, sigma, cluster_tol)
+    sd_r, sd_s = _decompose(rho, sigma)
     rel, near_boundary = _relative_entropy_parts(sd_r, sd_s)
-    minimality = _minimality(rho, sigma, sd_s, tol)
+    minimality = _minimality(rho, sigma, sd_s)
     residuals = {
         "klein": 0.0 if math.isinf(rel) else max(-rel, 0.0),
         "max_minimality_deviation": float(minimality.residuals.max()),

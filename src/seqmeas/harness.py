@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -85,16 +86,21 @@ class ExperimentConfig:
     check_set: tuple = CHECK_ORDER
 
     def __post_init__(self):
+        # bools are ints to Python; int() would truncate 2.7 and float() read "1"
+        if not all(map(_is_integer, self.dims)):
+            raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
+        if not all(_is_real(b) for b in self.beta_values):
+            raise ConfigError("beta_values must be positive and finite")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
         object.__setattr__(self, "check_set", tuple(str(c) for c in self.check_set))
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if not self.dims or any(d < 1 or d > 64 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if self.tol is not None and not (isinstance(self.tol, (int, float)) and self.tol > 0):
+        if self.tol is not None and not (_is_real(self.tol) and self.tol > 0):
             raise ConfigError("tol must be positive when given")
         if not self.beta_values or any(not (b > 0 and math.isfinite(b)) for b in self.beta_values):
             raise ConfigError("beta_values must be positive and finite")
@@ -127,11 +133,28 @@ class ExperimentConfig:
                 kwargs[key] = obj[key]
         for key in ("dims", "beta_values", "check_set"):
             if key in obj:
+                if not isinstance(obj[key], list):
+                    raise ConfigError(f"{key} must be a list")
                 kwargs[key] = tuple(obj[key])
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integer of any integral type, or an integer-valued float; never a bool."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def acceptance_config() -> ExperimentConfig:
@@ -203,10 +226,10 @@ def _json_float(v: float):
 # random instance generators
 # ---------------------------------------------------------------------------
 
-def random_density(dim: int, rank: int | None = None, rng: np.random.Generator = None) -> qm.DensityOperator:
+def random_density(
+    dim: int, rank: int | None = None, *, rng: np.random.Generator
+) -> qm.DensityOperator:
     """Normalised G G* for a dim x rank standard complex Gaussian G."""
-    if rng is None:
-        raise InputError("rng is required")
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:

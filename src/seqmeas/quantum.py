@@ -2,7 +2,7 @@
 
 Dense complex matrices (numpy, complex128) carry all operators.  The module
 provides validated wrapper types (density operators, unitaries, complete
-projector families), spectral eigenprojections, Lueders instruments,
+projector families), spectral eigenprojections, the Lueders channel,
 the construction of a :class:`~seqmeas.stat_model.SequentialModel` from
 quantum data, the two-point work protocol, and measurement dilation.
 Public constructors (and so JSON loading) validate every axiom; families
@@ -36,8 +36,10 @@ TRACE_TOL = 1e-10
 UNITARY_TOL = 1e-10
 PROJECTOR_TOL = 1e-9
 DEGENERACY_TOL = 1e-6
-#: default absolute tolerance for merging eigenvalues into one cluster
+#: absolute tolerance for merging eigenvalues into one cluster
 CLUSTER_TOL = 1e-8
+#: bound on the residuals of the repeatability assumption
+REPEATABILITY_TOL = 1e-8
 #: outcome probabilities in [-PROB_CLAMP, 0) are treated as exact zeros
 PROB_CLAMP = 1e-12
 
@@ -215,11 +217,11 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
 
 
-def hermitian_eigendecomposition(a, tol: float = HERMITIAN_TOL):
+def hermitian_eigendecomposition(a):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
     m = _as_square_complex(a, "operator")
     dev = max_abs(m - dagger(m))
-    if dev >= tol:
+    if dev >= HERMITIAN_TOL:
         raise InputError(f"operator is not Hermitian (residual {dev:.3e})")
     return np.linalg.eigh(m)
 
@@ -236,17 +238,15 @@ def _cluster_slices(values: np.ndarray, cluster_tol: float) -> list:
     return slices
 
 
-def spectral_projectors(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def spectral_projectors(a) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalues merged into clusters.
 
-    Eigenvalues within ``cluster_tol`` of each other share one
+    Eigenvalues within ``CLUSTER_TOL`` of each other share one
     eigenprojection; each cluster's representative is the mean of its
     members and its degeneracy the cluster multiplicity.
     """
-    if cluster_tol <= 0:
-        raise InputError("cluster_tol must be positive")
     w, v = hermitian_eigendecomposition(a)
-    slices = _cluster_slices(w, cluster_tol)
+    slices = _cluster_slices(w, CLUSTER_TOL)
     return SpectralDecomposition(
         eigenvalues=np.array([float(w[sl].mean()) for sl in slices]),
         family=ProjectorFamily._from_columns(v, [sl.stop - sl.start for sl in slices]),
@@ -259,18 +259,6 @@ def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.n
         raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
     p = np.array([np.trace(rho.matrix @ pr).real for pr in family.projectors])
     return np.clip(p, 0.0, 1.0)
-
-
-def luders_select(rho0: DensityOperator, projector, threshold: float = PROB_CLAMP) -> DensityOperator:
-    """Post-measurement state P rho P / Tr(rho P) for one selected outcome."""
-    p = _as_square_complex(projector, "projector")
-    if p.shape[0] != rho0.dim:
-        raise ShapeError("projector dimension does not match the state")
-    prob = float(np.trace(rho0.matrix @ p).real)
-    if prob <= threshold:
-        raise InputError(f"outcome has probability {prob:.3e}; selection undefined")
-    out = p @ rho0.matrix @ p / prob
-    return DensityOperator(0.5 * (out + dagger(out)))
 
 
 def luders_channel(rho: DensityOperator, family: ProjectorFamily) -> DensityOperator:
@@ -302,9 +290,7 @@ class AssumptionReport:
     all_outcomes_populated: bool
 
 
-def assumption_holds(
-    rho0: DensityOperator, family: ProjectorFamily, tol: float = 1e-8
-) -> AssumptionReport:
+def assumption_holds(rho0: DensityOperator, family: ProjectorFamily) -> AssumptionReport:
     """Check that selection leaves the maximally mixed state on each eigenspace."""
     probs = outcome_probabilities(rho0, family)
     degs = family.degeneracies
@@ -321,10 +307,10 @@ def assumption_holds(
         residuals.append(r)
         worst = max(worst, r)
     return AssumptionReport(
-        holds=worst < tol,
+        holds=worst < REPEATABILITY_TOL,
         residuals=tuple(residuals),
         weighted_residuals=tuple(weighted),
-        weighted_holds=max(weighted) < tol,
+        weighted_holds=max(weighted) < REPEATABILITY_TOL,
         probabilities=probs,
         all_outcomes_populated=bool((probs > PROB_CLAMP).all()),
     )
@@ -336,7 +322,6 @@ def build_sequential_model(
     u: Unitary,
     second_family: ProjectorFamily,
     p_tilde,
-    assumption_tol: float = 1e-8,
     probabilities=None,
 ) -> SequentialModel:
     """Assemble the abstract model of two sequential projective measurements.
@@ -366,7 +351,7 @@ def build_sequential_model(
         raise InputError(f"p_tilde sums to {p_tilde.sum():.15g}, expected 1")
     # gate on the weighted residuals: the normalised ones blow up float
     # noise by 1/p(i) on exact low-probability branches
-    report = assumption_holds(rho0, first_family, tol=assumption_tol)
+    report = assumption_holds(rho0, first_family)
     if not report.weighted_holds:
         worst = max(report.weighted_residuals)
         raise AssumptionError(
@@ -417,26 +402,6 @@ def build_sequential_model(
     return model
 
 
-def minimal_p_tilde(
-    rho0: DensityOperator,
-    first_family: ProjectorFamily,
-    u: Unitary,
-    second_family: ProjectorFamily,
-) -> np.ndarray:
-    """Second-measurement distribution q(j) realising the minimal case.
-
-    q(j) is the outcome distribution of the second measurement on the
-    evolved post-measurement state; using it as p_tilde gives p_tilde = q.
-    Raises when some q(j) vanishes, since p_tilde must be strictly positive.
-    """
-    state = luders_channel(rho0, first_family)
-    evolved = DensityOperator(u.matrix @ state.matrix @ dagger(u.matrix))
-    q = outcome_probabilities(evolved, second_family)
-    if bool((q <= PROB_CLAMP).any()):
-        raise InputError("minimal case undefined: some second outcome has zero probability")
-    return q / q.sum()
-
-
 @dataclass(frozen=True)
 class WorkProtocolResult:
     """Two-point work statistics and the two sides of the Jarzynski equality."""
@@ -451,9 +416,7 @@ class WorkProtocolResult:
     energies_second: np.ndarray
 
 
-def two_point_work_protocol(
-    h0, h1, u: Unitary, beta: float, cluster_tol: float = CLUSTER_TOL
-) -> WorkProtocolResult:
+def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResult:
     """Energy measurement, unitary drive, energy measurement.
 
     The initial state is the Boltzmann state of ``h0`` (so the
@@ -463,8 +426,8 @@ def two_point_work_protocol(
     """
     if beta <= 0:
         raise InputError("beta must be positive")
-    sd0 = spectral_projectors(h0, cluster_tol)
-    sd1 = spectral_projectors(h1, cluster_tol)
+    sd0 = spectral_projectors(h0)
+    sd1 = spectral_projectors(h1)
     if sd0.family.dim != sd1.family.dim or u.dim != sd0.family.dim:
         raise ShapeError("h0, h1 and u must share one dimension")
     energies0 = sd0.eigenvalues

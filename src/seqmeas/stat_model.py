@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InconsistentModelError, InputError, ShapeError
 
-#: default tolerance for the two normalisation sums
-DEFAULT_TOL = 1e-10
+#: tolerance for the two normalisation sums
+NORMALISATION_TOL = 1e-10
 #: magnitudes below this are treated as exact zeros before logarithms
 ZERO_CLAMP = 1e-14
 
@@ -81,14 +81,6 @@ class SequentialModel:
 
 
 @dataclass(frozen=True)
-class JointDistribution:
-    """Forward P(i,j) and reverse P~(j,i) joint distributions."""
-
-    p_forward: np.ndarray  # (n_first, n_second)
-    p_reverse: np.ndarray  # (n_second, n_first)
-
-
-@dataclass(frozen=True)
 class MarginalSet:
     """Degeneracy marginals and the four probability marginals."""
 
@@ -98,18 +90,6 @@ class MarginalSet:
     q: np.ndarray        # second-kind marginal of P
     p_tilde: np.ndarray  # second-kind marginal of P~
     q_tilde: np.ndarray  # first-kind marginal of P~
-
-
-@dataclass(frozen=True)
-class ConditionalPi:
-    """Conditional probabilities pi(j|i) = Pi(j|i)/d(i).
-
-    Columns i with p(i) = 0 are undefined: they carry NaN in ``matrix`` and
-    False in ``defined``.  They are deliberately not zero-filled.
-    """
-
-    matrix: np.ndarray   # (n_second, n_first)
-    defined: np.ndarray  # boolean over I
 
 
 @dataclass(frozen=True)
@@ -137,14 +117,12 @@ class ConstraintViolation:
     residual: float
 
 
-def validate_model(model: SequentialModel, tol: float = DEFAULT_TOL) -> list[ConstraintViolation]:
+def validate_model(model: SequentialModel) -> list[ConstraintViolation]:
     """Check the model axioms; return one violation per broken constraint.
 
     An empty list means the model is valid: all entries are non-negative and
-    finite and both normalisation sums equal one within ``tol``.
+    finite and both normalisation sums equal one within ``NORMALISATION_TOL``.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
     violations: list[ConstraintViolation] = []
     for name, arr in (("pi", model.pi), ("x", model.x), ("x_tilde", model.x_tilde)):
         if not np.isfinite(arr).all():
@@ -153,9 +131,9 @@ def validate_model(model: SequentialModel, tol: float = DEFAULT_TOL) -> list[Con
             violations.append(ConstraintViolation(f"{name}_nonnegative", float(-arr.min())))
     forward = float((model.pi * model.x[np.newaxis, :]).sum())
     reverse = float((model.pi * model.x_tilde[:, np.newaxis]).sum())
-    if not math.isfinite(forward) or abs(forward - 1.0) > tol:
+    if not math.isfinite(forward) or abs(forward - 1.0) > NORMALISATION_TOL:
         violations.append(ConstraintViolation("forward_normalisation", abs(forward - 1.0)))
-    if not math.isfinite(reverse) or abs(reverse - 1.0) > tol:
+    if not math.isfinite(reverse) or abs(reverse - 1.0) > NORMALISATION_TOL:
         violations.append(ConstraintViolation("reverse_normalisation", abs(reverse - 1.0)))
     return violations
 
@@ -165,12 +143,6 @@ def degeneracy_marginals(model: SequentialModel) -> tuple[np.ndarray, np.ndarray
     d = model.pi.sum(axis=0)
     d_tilde = model.pi.sum(axis=1)
     return d, d_tilde
-
-
-def joint_distributions(model: SequentialModel) -> JointDistribution:
-    p_forward = (model.pi * model.x[np.newaxis, :]).T
-    p_reverse = model.pi * model.x_tilde[:, np.newaxis]
-    return JointDistribution(p_forward=p_forward, p_reverse=p_reverse)
 
 
 def marginal_set(model: SequentialModel) -> MarginalSet:
@@ -183,18 +155,6 @@ def marginal_set(model: SequentialModel) -> MarginalSet:
         p_tilde=d_tilde * model.x_tilde,
         q_tilde=model.pi.T @ model.x_tilde,
     )
-
-
-def conditional_pi(model: SequentialModel) -> ConditionalPi:
-    """pi(j|i) = Pi(j|i)/d(i) wherever p(i) > 0; undefined columns are NaN."""
-    d, _ = degeneracy_marginals(model)
-    p = d * model.x
-    defined = p > 0.0
-    if bool((defined & (d <= 0.0)).any()):
-        raise InconsistentModelError("p(i) > 0 with d(i) = 0 cannot happen in a valid model")
-    matrix = np.full_like(model.pi, np.nan)
-    matrix[:, defined] = model.pi[:, defined] / d[defined]
-    return ConditionalPi(matrix=matrix, defined=defined)
 
 
 def expectation_regularized(model: SequentialModel, observable: RatioObservable) -> float:

@@ -210,16 +210,16 @@ class TestLudersEntropyCheck:
         rng = rng_for("luders-own")
         rho = random_density(4, rng=rng)
         fam = qm.spectral_projectors(rho.matrix).family
-        result = ent.luders_entropy_check(rho, fam)
-        assert abs(result.gap) < 1e-10
-        assert result.monotone and result.minimality.is_minimal
+        report = ent.entropy_report(rho, qm.luders_channel(rho, fam))
+        assert abs(report.gap) < 1e-10
+        assert report.is_minimal
 
     def test_plus_state_gains_log_two(self):
         rho = qm.DensityOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
         basis = qm.ProjectorFamily((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        result = ent.luders_entropy_check(rho, basis)
-        assert result.s_before == pytest.approx(0.0, abs=1e-12)
-        assert result.gap == pytest.approx(LOG2, abs=1e-12)
+        report = ent.entropy_report(rho, qm.luders_channel(rho, basis))
+        assert report.s_rho == pytest.approx(0.0, abs=1e-12)
+        assert report.gap == pytest.approx(LOG2, abs=1e-12)
 
     def test_random_instances(self):
         rng = rng_for("luders-random")
@@ -227,9 +227,9 @@ class TestLudersEntropyCheck:
             dim = int(rng.integers(2, 9))
             rho = random_density(dim, rng=rng)
             fam = random_pvm(dim, random_ranks(dim, rng, degenerate=bool(k % 2)), rng)
-            result = ent.luders_entropy_check(rho, fam)
-            assert result.gap >= -1e-10
-            assert result.minimality.is_minimal
+            report = ent.entropy_report(rho, qm.luders_channel(rho, fam))
+            assert report.gap >= -1e-10
+            assert report.is_minimal
 
 
 class TestCrossModuleConsistency:

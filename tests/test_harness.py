@@ -144,6 +144,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             hn.ExperimentConfig.from_json({"unknown_key": 1})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", True),
+            ("trials", True),
+            ("tol", True),
+            ("dims", [2.7, 3]),
+            ("dims", [True, 3]),
+            ("dims", "23"),
+            ("beta_values", 0.5),
+            ("beta_values", [True]),
+            ("check_set", "jcheck"),
+        ],
+    )
+    def test_malformed_json_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            hn.ExperimentConfig.from_json({key: value})
+
+    def test_integral_values_of_any_type_accepted(self):
+        config = hn.ExperimentConfig(dims=np.arange(2, 5), beta_values=np.array([0.5]))
+        assert config.dims == (2, 3, 4) and config.beta_values == (0.5,)
+        assert hn.ExperimentConfig.from_json({"dims": [2.0, 3]}).dims == (2, 3)
+
     def test_trial_counts(self):
         config = hn.ExperimentConfig(trials=1000)
         assert hn.n_trials("jcheck", config) == 1000
