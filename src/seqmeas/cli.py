@@ -134,7 +134,7 @@ def _run_single_check(name: str, args) -> int:
     return 0 if outcome.passed else 1
 
 
-def _run_model_file(path: str, tol: float | None) -> int:
+def _run_model_file(path: str, config: hn.ExperimentConfig) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         model = sm.model_from_json(json.load(fh))
     violations = sm.validate_model(model)
@@ -144,15 +144,14 @@ def _run_model_file(path: str, tol: float | None) -> int:
             print(f"  violated {v.constraint}: residual {_fmt(v.residual)}")
         print("  result: FAIL")
         return 1
-    threshold = 1e-9 if tol is None else tol
-    forward = sm.j_equation_residual(model)
-    reverse = sm.j_equation_reverse_residual(model)
-    print(f"  j_residual               {_fmt(forward)}")
-    print(f"  j_reverse_residual       {_fmt(reverse)}")
+    gates = hn._gates(hn.CHECK_SPECS["jcheck"].tolerances, config.tol)
+    residuals = hn.evaluate_jcheck(model)
+    for key, value in residuals.items():
+        print(f"  {key:<24} {_fmt(value)}")
     chain = sm.entropy_chain(model)
     print(f"  H(p) = {_fmt(chain.h_p)}   H(q) = {_fmt(chain.h_q)}   cross = {_fmt(chain.cross)}")
-    ok = forward <= threshold and reverse <= threshold
-    print(f"  result: {'PASS' if ok else 'FAIL'} (tol {_fmt(threshold)})")
+    ok = all(residuals[key] <= gate for key, gate in gates.items())
+    print(f"  result: {'PASS' if ok else 'FAIL'} (tol {_fmt(max(gates.values()))})")
     return 0 if ok else 1
 
 
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
     try:
         if args.command in _CHECK_COMMANDS:
             if args.command == "jcheck" and args.model is not None:
-                return _run_model_file(args.model, args.tol)
+                return _run_model_file(args.model, _config_for_check("jcheck", args))
             return _run_single_check(args.command, args)
         if args.command == "counterexample":
             return _run_counterexample(args)

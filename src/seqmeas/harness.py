@@ -8,20 +8,21 @@ independent streams safe to evaluate in parallel.
 Trial counts: ``jcheck``, ``chain``, ``klein``, ``luders`` and ``minimal``
 run ``config.trials`` trials; ``jarzynski`` and ``dilation`` run 30% of
 that (their acceptance budgets are 300 against 1000); ``counterexample``
-is a single fixed instance.  ``chain`` replays the exact instance stream
-of ``jcheck`` so both checks see the same models.
+is a single fixed instance.  ``chain`` evaluates the very models of
+``jcheck``: its ``rng_alias`` names the trial stream of ``jcheck``.
 
-Dispatch: one loop, ``_trial_records``, turns a range of trials into one
-record per trial (residuals, generated counters, failure bundle or None),
-and ``_outcome`` folds the records in trial order into a check's maxima,
-counters and failures.  :func:`run_check` runs the loop over every trial in
-this process.  :func:`run_suite` does the same when only one CPU is
-available or it already runs inside a worker process; otherwise it starts
-``min(CPUs, checks)`` spawned worker processes, each with BLAS pinned to
-one thread, and sends each check's trials to them in contiguous chunks,
-four per worker.  Checks still run one after another in ``CHECK_ORDER``,
-and the fold is the same, so the report is the same bit for bit on both
-paths; each check's ``duration_seconds`` is its wall time.
+Dispatch: checks that share a trial stream form a group.  One loop,
+``_trial_records``, generates each trial of a group once and turns it into
+one record per check (residuals, generated counters, failure bundle or
+None); ``_outcome`` folds a check's records in trial order into its maxima,
+counters and failures.  ``_run_group`` runs the loop over a group's trials
+in contiguous chunks, four per worker, in this process or in worker
+processes; :func:`run_check` is a one-check group in process.
+:func:`run_suite` starts ``min(CPUs, checks)`` spawned workers, each with
+BLAS pinned to one thread, unless only one CPU is available or it already
+runs inside a worker.  The fold is the same on both paths, so the report is
+the same bit for bit.  A group's wall time is split between its checks by
+their time in the loop, generation counted for the first check.
 """
 
 from __future__ import annotations
@@ -86,20 +87,25 @@ class ExperimentConfig:
     check_set: tuple = CHECK_ORDER
 
     def __post_init__(self):
+        for key in ("dims", "beta_values", "check_set"):
+            if not isinstance(getattr(self, key), (list, tuple, np.ndarray)):
+                raise ConfigError(f"{key} must be a list")
         # bools are ints to Python; int() would truncate 2.7 and float() read "1"
-        if not all(map(_is_integer, self.dims)):
+        if not all(_is_integral(d) or isinstance(d, float) and d.is_integer() for d in self.dims):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
         if not all(_is_real(b) for b in self.beta_values):
             raise ConfigError("beta_values must be positive and finite")
+        if not _is_integral(self.seed) or not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be an unsigned 64-bit integer")
+        if not _is_integral(self.trials) or self.trials < 1:
+            raise ConfigError("trials must be a positive integer")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
         object.__setattr__(self, "check_set", tuple(str(c) for c in self.check_set))
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
         if not self.dims or any(d < 1 or d > 64 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ConfigError("trials must be a positive integer")
         if self.tol is not None and not (_is_real(self.tol) and self.tol > 0):
             raise ConfigError("tol must be positive when given")
         if not self.beta_values or any(not (b > 0 and math.isfinite(b)) for b in self.beta_values):
@@ -127,29 +133,11 @@ class ExperimentConfig:
         unknown = set(obj) - {"seed", "dims", "trials", "tol", "beta_values", "check_set"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key in ("seed", "trials", "tol"):
-            if key in obj:
-                kwargs[key] = obj[key]
-        for key in ("dims", "beta_values", "check_set"):
-            if key in obj:
-                if not isinstance(obj[key], list):
-                    raise ConfigError(f"{key} must be a list")
-                kwargs[key] = tuple(obj[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return cls(**obj)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """An integer of any integral type, or an integer-valued float; never a bool."""
-    if isinstance(value, float):
-        return value.is_integer()
+def _is_integral(value) -> bool:
+    """An integer of any integral type; never a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -442,7 +430,7 @@ def _random_grounded_hermitian(rng, dim) -> np.ndarray:
     """
     eigs = rng.uniform(-2.0, 2.0, dim)
     eigs = eigs - (eigs.min() + 2.0)
-    v = random_unitary(dim, rng).matrix
+    v = _haar_columns(dim, rng)
     h = (v * eigs[np.newaxis, :]) @ v.conj().T
     return 0.5 * (h + h.conj().T)
 
@@ -752,59 +740,61 @@ def _gates(pinned: dict, tol) -> dict:
     return {k: g if tol is None or k in _VERDICT_KEYS else float(tol) for k, g in pinned.items()}
 
 
-def _trial_records(name: str, config: ExperimentConfig, trials: range) -> list:
-    """``(trial, residuals, generated counters, failure bundle or None)`` per trial, in order.
+def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
+    """``(records, seconds)`` of a stream group's trials, each keyed by check name.
 
-    The one trial loop of the suite: :func:`run_check` runs it over every
-    trial in process, and :func:`run_suite` sends contiguous ranges of it to
-    worker processes, which is why it takes only picklable arguments.
+    The first check's ``generate`` makes each trial's instance once.  A
+    check's records are one ``(residuals, generated counters, failure bundle
+    or None)`` per trial, in order; its seconds are its time in the loop.
+    Worker processes run the loop too, so it takes only picklable arguments.
     """
-    spec = CHECK_SPECS[name]
-    tolerances = _gates(spec.tolerances, config.tol)
-    stream = spec.rng_alias or name
-    records = []
+    first = CHECK_SPECS[names[0]]
+    stream = first.rng_alias or names[0]
+    gates = {name: _gates(CHECK_SPECS[name].tolerances, config.tol) for name in names}
+    records = {name: [] for name in names}
+    seconds = dict.fromkeys(names, 0.0)
     for trial in trials:
-        derivation = [config.seed, _CHECK_IDS[stream], trial]
+        bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
+        started = time.perf_counter()
         try:
-            inputs, generated_counters = spec.generate(
-                trial_rng(config.seed, stream, trial), config, trial
-            )
-            residuals = spec.evaluate(**inputs)
+            instance = first.generate(trial_rng(config.seed, stream, trial), config, trial)
         except (SeqMeasError, np.linalg.LinAlgError) as exc:
-            # a broken instance aborts its trial, never the run, and
-            # leaves enough behind to regenerate it deterministically
-            failure = {
-                "check": name,
-                "trial": trial,
-                "error": f"{type(exc).__name__}: {exc}",
-                "residuals": {},
-                "inputs": {},
-                "seed_derivation": derivation,
-            }
-            records.append((trial, {}, {}, failure))
-            continue
-        failure = None
-        if any(not v <= tolerances[k] for k, v in residuals.items() if k in tolerances):
-            # ``not <=`` catches inf and nan
-            failure = {
-                "check": name,
-                "trial": trial,
-                "residuals": {k: _json_float(v) for k, v in residuals.items()},
-                "inputs": spec.serialize(**inputs),
-                "seed_derivation": derivation,
-            }
-        records.append((trial, residuals, generated_counters, failure))
-    return records
+            instance = exc
+        for name in names:
+            record = _trial_record(name, gates[name], {"check": name, **bundle}, instance)
+            records[name].append(record)
+            seconds[name] += time.perf_counter() - started
+            started = time.perf_counter()
+    return records, seconds
 
 
-def _outcome(name: str, config: ExperimentConfig, records, started: float) -> CheckOutcome:
-    """Fold the trial records, in trial order, into one check's outcome."""
+def _trial_record(name: str, tolerances: dict, bundle: dict, instance) -> tuple:
+    """A check's record of one trial; ``instance`` is ``(inputs, counters)`` or its error."""
+    try:
+        if isinstance(instance, Exception):
+            raise instance
+        inputs, generated_counters = instance
+        residuals = CHECK_SPECS[name].evaluate(**inputs)
+    except (SeqMeasError, np.linalg.LinAlgError) as exc:
+        # a broken instance aborts its trial, never the run, and
+        # leaves enough behind to regenerate it deterministically
+        error = f"{type(exc).__name__}: {exc}"
+        return {}, {}, {**bundle, "error": error, "residuals": {}, "inputs": {}}
+    if all(v <= tolerances[k] for k, v in residuals.items() if k in tolerances):  # False on nan
+        return residuals, generated_counters, None
+    bundle["residuals"] = {k: _json_float(v) for k, v in residuals.items()}
+    bundle["inputs"] = CHECK_SPECS[name].serialize(**inputs)
+    return residuals, generated_counters, bundle
+
+
+def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
+    """Fold the trial records, in trial order, into one check's outcome; its duration is left 0."""
     spec = CHECK_SPECS[name]
     tolerances = _gates(spec.tolerances, config.tol)
     maxima = {k: 0.0 for k in tolerances}
     counters: dict = {}
     failures: list = []
-    for _, residuals, generated_counters, failure in records:
+    for residuals, generated_counters, failure in records:
         for key, value in residuals.items():
             if key in tolerances:
                 if value > maxima[key] or math.isnan(value):  # a NaN sticks
@@ -818,21 +808,11 @@ def _outcome(name: str, config: ExperimentConfig, records, started: float) -> Ch
     if spec.fixed is not None:
         fixed_tols = _gates(spec.fixed_tolerances, config.tol)
         extras = spec.fixed()
-        bad = {}
-        for key, value in extras.items():
-            maxima[key] = value
-            tolerances[key] = fixed_tols[key]
-            if not value <= fixed_tols[key]:
-                bad[key] = value
-        if bad:
-            failures.append(
-                {
-                    "check": name,
-                    "trial": -1,
-                    "residuals": {k: _json_float(v) for k, v in extras.items()},
-                    "inputs": {},
-                }
-            )
+        maxima.update(extras)
+        tolerances.update(fixed_tols)
+        if any(not extras[k] <= fixed_tols[k] for k in extras):
+            residuals = {k: _json_float(v) for k, v in extras.items()}
+            failures.append({"check": name, "trial": -1, "residuals": residuals, "inputs": {}})
     return CheckOutcome(
         name=name,
         trials=n_trials(name, config),
@@ -840,19 +820,12 @@ def _outcome(name: str, config: ExperimentConfig, records, started: float) -> Ch
         tolerances=tolerances,
         counters=counters,
         failures=failures,
-        duration_seconds=time.perf_counter() - started,
+        duration_seconds=0.0,
         passed=not failures,
     )
 
 
-def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
-    """Run one named check over its deterministic trial streams, in this process."""
-    started = time.perf_counter()
-    records = _trial_records(name, config, range(n_trials(name, config)))
-    return _outcome(name, config, records, started)
-
-
-#: trial chunks per worker process and check, so that uneven trials balance
+#: trial chunks per worker process and stream group, so that uneven trials balance
 _CHUNKS_PER_WORKER = 4
 
 #: BLAS thread-count variables set to 1 while a worker pool lives
@@ -902,33 +875,48 @@ def _worker_pool(workers: int):
                 os.environ[key] = value
 
 
-def _pooled_check(pool, workers: int, name: str, config: ExperimentConfig) -> CheckOutcome:
-    """One check with its trials sent to ``pool`` in contiguous chunks."""
+def _run_group(pool, workers: int, names: tuple, config: ExperimentConfig) -> list:
+    """The outcomes of one stream group, its trials run in contiguous chunks, four per worker.
+
+    ``pool`` runs the chunks in worker processes; ``None`` runs them here.
+    The group's wall time is split between its checks by their seconds in
+    the loop, so the checks' durations add up to it.
+    """
     started = time.perf_counter()
-    trials = n_trials(name, config)
+    trials = n_trials(names[0], config)
     size = -(-trials // (_CHUNKS_PER_WORKER * workers))
-    chunks = [
-        pool.submit(_trial_records, name, config, range(lo, min(lo + size, trials)))
-        for lo in range(0, trials, size)
-    ]
-    records = [record for chunk in chunks for record in chunk.result()]
-    return _outcome(name, config, records, started)
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    run = map if pool is None else pool.map
+    parts = list(run(_trial_records, [names] * len(chunks), [config] * len(chunks), chunks))
+    outcomes = [_outcome(name, config, [r for rs, _ in parts for r in rs[name]]) for name in names]
+    wall = time.perf_counter() - started
+    seconds = {name: sum(secs[name] for _, secs in parts) for name in names}
+    total = sum(seconds.values()) or 1.0  # never a division by a zero clock reading
+    for outcome in outcomes:
+        outcome.duration_seconds = wall * (seconds[outcome.name] / total)
+    return outcomes
+
+
+def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
+    """Run one named check over its deterministic trial streams, in this process."""
+    return _run_group(None, 1, (name,), config)[0]
 
 
 def run_suite(config: ExperimentConfig) -> ExperimentReport:
     """Run every requested check; the report is reproducible bit for bit.
 
-    With more than one CPU the trials go to a pool of worker processes;
-    the report is the same either way, durations aside.
+    Checks that share a trial stream run as one group.  With more than one
+    CPU the trials go to a pool of worker processes; the report is the same
+    either way, durations aside.
     """
     started = time.perf_counter()
-    ordered = [name for name in CHECK_ORDER if name in config.check_set]
-    workers = _pool_workers(len(ordered))
-    if workers < 2:
-        checks = [run_check(name, config) for name in ordered]
-    else:
-        with _worker_pool(workers) as pool:
-            checks = [_pooled_check(pool, workers, name, config) for name in ordered]
+    groups: dict = {}
+    for name in CHECK_ORDER:
+        if name in config.check_set:
+            groups.setdefault(CHECK_SPECS[name].rng_alias or name, []).append(name)
+    workers = _pool_workers(sum(map(len, groups.values())))
+    with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        checks = [c for g in groups.values() for c in _run_group(pool, workers, tuple(g), config)]
     return ExperimentReport(
         config=config,
         checks=checks,

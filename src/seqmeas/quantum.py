@@ -577,17 +577,19 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise InputError('complex matrix document needs keys "dim" and "entries"')
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise ShapeError(f"entries do not form a {dim}x{dim} matrix")
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise InputError(f'matrix "dim" must be an integer, got {dim!r}')
     try:
-        arr = np.array(
-            [[complex(pair[0], pair[1]) for pair in row] for row in entries], dtype=complex
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InputError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    return arr
+        pairs = np.array(obj["entries"])
+    except ValueError:  # ragged nesting
+        pairs = np.empty(0)
+    if pairs.shape[:2] != (dim, dim):
+        raise ShapeError(f"entries do not form a {dim}x{dim} matrix")
+    # one dtype check of the whole array rules out bools and strings
+    if pairs.shape != (dim, dim, 2) or pairs.dtype.kind not in "iuf":
+        raise InputError("matrix entries must be [re, im] pairs of numbers")
+    return pairs.astype(float).view(complex)[..., 0]
 
 
 def density_from_json(obj: dict) -> DensityOperator:

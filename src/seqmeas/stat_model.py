@@ -287,9 +287,11 @@ def model_from_json(obj: dict) -> SequentialModel:
     if missing:
         raise InputError(f"model document lacks keys: {sorted(missing)}")
     try:
-        pi = np.array(obj["pi"], dtype=float)
-        x = np.array(obj["x"], dtype=float)
-        x_tilde = np.array(obj["x_tilde"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        arrays = {key: np.array(obj[key]) for key in ("pi", "x", "x_tilde")}
+    except ValueError as exc:  # ragged nesting
         raise InputError(f"model document entries are not numeric: {exc}") from exc
-    return SequentialModel(pi=pi, x=x, x_tilde=x_tilde)
+    # one dtype check per array rules out bools and strings
+    non_numeric = sorted(key for key, arr in arrays.items() if arr.dtype.kind not in "iuf")
+    if non_numeric:
+        raise InputError(f"model document entries are not numeric: {non_numeric}")
+    return SequentialModel(**arrays)

@@ -47,6 +47,26 @@ class TestModelFile:
         assert code == 0
         assert "PASS" in out
 
+    def test_output_lines(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5]}))
+        _, out, _ = run_cli(capsys, "jcheck", "--model", str(path), "--tol", "1e-6")
+        assert out.splitlines() == [
+            "model: 2 first outcomes, 1 second outcomes",
+            "  j_residual               0",
+            "  j_reverse_residual       0",
+            "  H(p) = 0   H(q) = 0.693147180559945   cross = 0.693147180559945",
+            "  result: PASS (tol 1e-06)",
+        ]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+    def test_tolerance_is_validated(self, capsys, tmp_path, tol):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5]}))
+        code, _, err = run_cli(capsys, "jcheck", "--model", str(path), "--tol", tol)
+        assert code == 2
+        assert "tol must be positive" in err
+
     def test_invalid_model(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"pi": [[1.0]], "x": [2.0], "x_tilde": [1.0]}))

@@ -156,11 +156,22 @@ class TestConfig:
             ("beta_values", 0.5),
             ("beta_values", [True]),
             ("check_set", "jcheck"),
+            ("seed", 5.0),
+            ("trials", np.bool_(True)),
         ],
     )
     def test_malformed_json_values_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        # the same message from JSON and from Python
+        with pytest.raises(ConfigError, match=f"{key} must"):
             hn.ExperimentConfig.from_json({key: value})
+        with pytest.raises(ConfigError, match=f"{key} must"):
+            hn.ExperimentConfig(**{key: value})
+
+    def test_numpy_seed_and_trials_accepted(self):
+        config = hn.ExperimentConfig(seed=np.int64(5), trials=np.uint16(3))
+        assert config == hn.ExperimentConfig(seed=5, trials=3)
+        assert type(config.seed) is int and type(config.trials) is int
+        assert json.loads(json.dumps(config.to_json()))["seed"] == 5
 
     def test_integral_values_of_any_type_accepted(self):
         config = hn.ExperimentConfig(dims=np.arange(2, 5), beta_values=np.array([0.5]))
@@ -318,6 +329,20 @@ class TestRunCheck:
         qm.ProjectorFamily((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))  # the patch counts
         assert calls == [1]
 
+    def test_jarzynski_trials_validate_only_the_drive(self, monkeypatch):
+        # the Hamiltonians' eigenbases are Haar columns, never a checked Unitary
+        calls = []
+        original = qm.Unitary.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(qm.Unitary, "__post_init__", counting)
+        config = hn.ExperimentConfig(seed=7, dims=(3, 4), trials=4)
+        hn.CHECK_SPECS["jarzynski"].generate(hn.trial_rng(config.seed, "jarzynski", 1), config, 1)
+        assert calls == [1]
+
     def test_replay_validates_a_tampered_family(self):
         config = hn.ExperimentConfig(seed=5, dims=(3,), trials=2, tol=1e-300,
                                      check_set=("luders",))
@@ -406,6 +431,81 @@ class TestRunSuite:
         assert doc["passed"] is True
         assert {c["name"] for c in doc["checks"]} == set(hn.CHECK_ORDER)
         assert doc["config"]["seed"] == 8
+
+
+def _counting_spec(monkeypatch, name, calls, **raising):
+    """Replace ``name``'s spec by one that counts generate calls; ``raising`` picks a
+    stage (``generate`` or ``evaluate``) and the trial on which it raises."""
+    import dataclasses
+
+    spec = hn.CHECK_SPECS[name]
+
+    def generate(rng, config, trial):
+        calls.append((name, trial))
+        if raising.get("generate") == trial:
+            raise InputError("synthetic generation failure")
+        return spec.generate(rng, config, trial)
+
+    def evaluate(**inputs):
+        if raising.get("evaluate") == calls[-1][1]:  # the trial generated last
+            raise InputError("synthetic evaluation failure")
+        return spec.evaluate(**inputs)
+
+    monkeypatch.setitem(
+        hn.CHECK_SPECS, name, dataclasses.replace(spec, generate=generate, evaluate=evaluate)
+    )
+
+
+class TestStreamGroups:
+    """``jcheck`` and ``chain`` share one stream: each model is generated once."""
+
+    CONFIG = hn.ExperimentConfig(seed=33, dims=(2, 4), trials=6, check_set=("jcheck", "chain"))
+
+    @pytest.fixture(autouse=True)
+    def in_process(self, monkeypatch):
+        monkeypatch.setattr(hn, "_cpu_count", lambda: 1)
+
+    def test_suite_generates_each_instance_once(self, monkeypatch):
+        calls = []
+        _counting_spec(monkeypatch, "jcheck", calls)
+        _counting_spec(monkeypatch, "chain", calls)
+        report = hn.run_suite(self.CONFIG)
+        assert calls == [("jcheck", trial) for trial in range(6)]
+        assert [c.name for c in report.checks] == ["jcheck", "chain"] and report.passed
+        calls.clear()
+        hn.run_check("chain", self.CONFIG)
+        assert calls == [("chain", trial) for trial in range(6)]
+
+    def test_shared_models_give_the_separate_outcomes(self):
+        report = hn.run_suite(self.CONFIG)
+        alone = [hn.run_check(name, self.CONFIG) for name in ("jcheck", "chain")]
+        for shared, own in zip(report.checks, alone):
+            assert shared.residual_maxima == own.residual_maxima
+            assert shared.counters == own.counters
+        assert report.checks[1].counters["zero_x_trials"] > 0
+
+    def test_evaluation_error_fails_its_check_only(self, monkeypatch):
+        _counting_spec(monkeypatch, "jcheck", [], evaluate=2)
+        jcheck, chain = hn.run_suite(self.CONFIG).checks
+        assert [(f["trial"], f["error"]) for f in jcheck.failures] == [
+            (2, "InputError: synthetic evaluation failure")
+        ]
+        assert chain.passed and not chain.failures
+
+    def test_generation_error_fails_every_check(self, monkeypatch):
+        _counting_spec(monkeypatch, "jcheck", [], generate=3)
+        jcheck, chain = hn.run_suite(self.CONFIG).checks
+        assert [f["check"] for f in jcheck.failures + chain.failures] == ["jcheck", "chain"]
+        assert jcheck.failures[0]["seed_derivation"] == chain.failures[0]["seed_derivation"]
+        assert jcheck.failures[0]["seed_derivation"] == [33, 0, 3]
+        assert "synthetic generation failure" in chain.failures[0]["error"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_durations_are_not_counted_twice(self, monkeypatch, cpus):
+        monkeypatch.setattr(hn, "_cpu_count", lambda: cpus)
+        report = hn.run_suite(hn.ExperimentConfig(seed=21, dims=(2, 3), trials=8))
+        assert all(c.duration_seconds > 0 for c in report.checks)
+        assert sum(c.duration_seconds for c in report.checks) <= report.duration_seconds
 
 
 def _in_process_fingerprint(config) -> str:

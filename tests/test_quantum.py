@@ -530,6 +530,24 @@ class TestJsonFormat:
         with pytest.raises(InputError):
             qm.matrix_from_json({"dim": 1, "entries": [[["a", "b"]]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": True, "entries": [[[1, 0]]]},
+            {"dim": 1.9, "entries": [[[1, 0]]]},
+            {"dim": 1, "entries": [[[True, False]]]},
+            {"dim": 1, "entries": [[["1", 0]]]},
+            {"dim": 1, "entries": [[[1, 0, 0]]]},
+        ],
+    )
+    def test_non_numeric_documents_rejected(self, doc):
+        with pytest.raises(InputError):
+            qm.matrix_from_json(doc)
+
+    def test_integer_entries_load_as_floats(self):
+        m = qm.matrix_from_json({"dim": 1, "entries": [[[1, -2]]]})
+        assert m.dtype == complex and m.tolist() == [[1 - 2j]]
+
     def test_family_round_trip(self):
         docs = [qm.matrix_to_json(p) for p in COMP_BASIS]
         fam = qm.family_from_json(docs)

@@ -299,3 +299,16 @@ class TestJson:
     def test_non_numeric(self):
         with pytest.raises(InputError):
             sm.model_from_json({"pi": [["a"]], "x": [1.0], "x_tilde": [1.0]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"pi": [[True]], "x": [1.0], "x_tilde": [1.0]},
+            {"pi": [[1.0]], "x": [True], "x_tilde": [1.0]},
+            {"pi": [[1.0]], "x": [1.0], "x_tilde": ["1"]},
+            {"pi": [[1.0, 0.5], [0.5]], "x": [1.0, 1.0], "x_tilde": [1.0, 1.0]},
+        ],
+    )
+    def test_booleans_strings_and_ragged_rows_rejected(self, doc):
+        with pytest.raises(InputError):
+            sm.model_from_json(doc)
