@@ -17,9 +17,11 @@ import numpy as np
 from .errors import ShapeError
 from .quantum import (
     DensityOperator,
+    ProjectorFamily,
     SpectralDecomposition,
     partial_trace,
     spectral_projectors,
+    stack_traces,
     tensor_product,
 )
 
@@ -41,7 +43,7 @@ def _clamped_spectrum(eigs: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-Tr(rho log rho) with 0 log 0 = 0; never negative."""
-    eigs = _clamped_spectrum(np.linalg.eigvalsh(rho.matrix))
+    eigs = _clamped_spectrum(rho.spectrum)
     pos = eigs[eigs > 0.0]
     s = float(-(pos * np.log(pos)).sum()) if pos.size else 0.0
     return s if s > 0.0 else 0.0
@@ -58,6 +60,11 @@ def _decompose(
     return sd_r, sd_s
 
 
+def _overlaps(first: ProjectorFamily, second: ProjectorFamily) -> np.ndarray:
+    """``Tr(P_a Q_b)`` clipped at 0: one ``(k_b, d, d)`` product per projector ``P_a``."""
+    return np.clip([stack_traces(p, second.stack) for p in first.stack], 0.0, None)
+
+
 def _relative_entropy_parts(
     sd_r: SpectralDecomposition, sd_s: SpectralDecomposition
 ) -> tuple[float, bool]:
@@ -71,13 +78,7 @@ def _relative_entropy_parts(
     s = _clamped_spectrum(sd_s.eigenvalues)
     d_r = sd_r.family.degeneracies.astype(float)
 
-    overlaps = np.array(
-        [
-            [float(np.trace(p @ q).real) for q in sd_s.family.projectors]
-            for p in sd_r.family.projectors
-        ]
-    )
-    overlaps = np.clip(overlaps, 0.0, None)
+    overlaps = _overlaps(sd_r.family, sd_s.family)
 
     r_supported = r > SUPPORT_EPS
     s_zero = s <= SUPPORT_EPS
@@ -142,10 +143,8 @@ class MinimalityResult:
 def _minimality(
     rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition
 ) -> MinimalityResult:
-    q = np.array([np.trace(rho.matrix @ pr).real for pr in sd_s.family.projectors])
-    p_tilde = np.array([np.trace(sigma.matrix @ pr).real for pr in sd_s.family.projectors])
-    q = np.clip(q, 0.0, None)
-    p_tilde = np.clip(p_tilde, 0.0, None)
+    q = np.clip(stack_traces(rho.matrix, sd_s.family.stack), 0.0, None)
+    p_tilde = np.clip(stack_traces(sigma.matrix, sd_s.family.stack), 0.0, None)
     residuals = np.abs(p_tilde - q)
     return MinimalityResult(
         is_minimal=bool((residuals < VERDICT_TOL).all()),

@@ -106,8 +106,9 @@ class ExperimentConfig:
         object.__setattr__(self, "check_set", tuple(str(c) for c in self.check_set))
         if not self.dims or any(d < 1 or d > 64 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
-        if self.tol is not None and not (_is_real(self.tol) and self.tol > 0):
-            raise ConfigError("tol must be positive when given")
+        # an inf gate would pass the inf markers of undefined identities
+        if self.tol is not None and not (_is_real(self.tol) and 0 < self.tol < math.inf):
+            raise ConfigError("tol must be positive and finite when given")
         if not self.beta_values or any(not (b > 0 and math.isfinite(b)) for b in self.beta_values):
             raise ConfigError("beta_values must be positive and finite")
         unknown = set(self.check_set) - set(CHECK_ORDER)
@@ -297,9 +298,8 @@ def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
         zero_idx = rng.choice(k, size=n_zero, replace=False)
         weights[zero_idx] = 0.0
         weights = weights / weights.sum()
-    rho0 = qm.DensityOperator(
-        sum((w / d) * p for w, d, p in zip(weights, fam1.degeneracies, fam1.projectors))
-    )
+    mixture = (weights / fam1.degeneracies)[:, None, None] * fam1.stack
+    rho0 = qm.DensityOperator(mixture.sum(axis=0))
     u = random_unitary(dim, rng)
     fam2 = random_pvm(dim, random_ranks(dim, rng, degenerate=bool(rng.integers(2))), rng)
     p_tilde = rng.dirichlet(np.ones(len(fam2)))

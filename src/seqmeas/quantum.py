@@ -7,6 +7,10 @@ the construction of a :class:`~seqmeas.stat_model.SequentialModel` from
 quantum data, the two-point work protocol, and measurement dilation.
 Public constructors (and so JSON loading) validate every axiom; families
 built from orthonormal columns are checked once, through ``V†V = I``.
+A family holds its projectors as one read-only ``(k, d, d)`` stack, and
+the Born, overlap and Lueders kernels are batched matmuls over it.  A
+:class:`DensityOperator` keeps the spectrum its positivity check computes,
+so its entropy needs no second decomposition.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .errors import (
     InvalidOperatorError,
     ShapeError,
 )
-from .stat_model import SequentialModel
+from .stat_model import SequentialModel, real_array
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -50,7 +55,12 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def stack_traces(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``Re Tr(a P_k)`` for every matrix ``P_k`` of a ``(k, d, d)`` stack."""
+    return np.trace(a @ stack, axis1=1, axis2=2).real
 
 
 def _as_square_complex(a, what: str = "matrix") -> np.ndarray:
@@ -79,7 +89,8 @@ class DensityOperator:
         herm = max_abs(m - dagger(m))
         if herm >= HERMITIAN_TOL:
             raise InvalidOperatorError("density operator is not Hermitian", "hermitian", herm)
-        min_eig = float(np.linalg.eigvalsh(m).min())
+        spectrum = np.linalg.eigvalsh(m)
+        min_eig = float(spectrum.min())
         if min_eig <= -PSD_TOL:
             raise InvalidOperatorError(
                 "density operator is not positive semidefinite", "positive", -min_eig
@@ -87,11 +98,18 @@ class DensityOperator:
         trace_dev = abs(np.trace(m).real - 1.0)
         if trace_dev >= TRACE_TOL:
             raise InvalidOperatorError("density operator trace is not one", "unit_trace", trace_dev)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues, as ``eigvalsh`` gave them to the positivity check."""
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -119,14 +137,15 @@ class ProjectorFamily:
     """Complete family of mutually orthogonal projectors (a PVM).
 
     ``labels`` are the outcome indices, defaulting to 0..n-1 in the order
-    supplied; no sorting happens inside the family.
+    supplied; no sorting happens inside the family.  ``projectors`` are
+    read-only views into ``stack``, the one ``(k, d, d)`` copy of them.
     """
 
     projectors: tuple
     labels: tuple = ()
 
     def __post_init__(self):
-        projs = tuple(_frozen(_as_square_complex(p, "projector")) for p in self.projectors)
+        projs = tuple(_as_square_complex(p, "projector") for p in self.projectors)
         if not projs:
             raise ShapeError("projector family must be non-empty")
         dim = projs[0].shape[0]
@@ -166,9 +185,14 @@ class ProjectorFamily:
                     f"projector {k} has non-integer rank", "integer_degeneracy", abs(t - round(t))
                 )
             degs.append(int(round(t)))
-        object.__setattr__(self, "projectors", projs)
+        self._hold(np.stack(projs), degs, labels)
+
+    def _hold(self, stack: np.ndarray, degeneracies, labels) -> None:
+        stack.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_degeneracies", np.array(degs, dtype=int))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "projectors", tuple(stack))
+        object.__setattr__(self, "_degeneracies", np.array(degeneracies, dtype=int))
 
     @classmethod
     def _from_columns(cls, v: np.ndarray, widths) -> "ProjectorFamily":
@@ -184,14 +208,12 @@ class ProjectorFamily:
         dev = max_abs(dagger(v) @ v - np.eye(len(v)))
         if dev >= PROJECTOR_TOL / len(v) ** 2:
             raise InvalidOperatorError("columns are not orthonormal", "orthonormal", dev)
-        projectors = []
-        for block in np.split(v, np.cumsum(widths)[:-1], axis=1):
-            p = block @ dagger(block)
-            projectors.append(_frozen(0.5 * (p + dagger(p))))
+        stack = np.empty((len(widths), len(v), len(v)), dtype=complex)
+        for p, stop, width in zip(stack, accumulate(widths), widths):
+            block = v[:, stop - width : stop]
+            np.matmul(block, dagger(block), out=p)
         family = object.__new__(cls)
-        object.__setattr__(family, "projectors", tuple(projectors))
-        object.__setattr__(family, "labels", tuple(range(len(projectors))))
-        object.__setattr__(family, "_degeneracies", np.array(widths, dtype=int))
+        family._hold(0.5 * (stack + dagger(stack)), widths, tuple(range(len(widths))))
         return family
 
     def __len__(self) -> int:
@@ -199,7 +221,11 @@ class ProjectorFamily:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self._stack.shape[1]
+
+    @property
+    def stack(self) -> np.ndarray:
+        return self._stack
 
     @property
     def degeneracies(self) -> np.ndarray:
@@ -257,15 +283,14 @@ def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.n
     """p(i) = Tr(rho P_i), clamped to [0, 1]."""
     if rho.dim != family.dim:
         raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
-    p = np.array([np.trace(rho.matrix @ pr).real for pr in family.projectors])
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(stack_traces(rho.matrix, family.stack), 0.0, 1.0)
 
 
 def luders_channel(rho: DensityOperator, family: ProjectorFamily) -> DensityOperator:
     """Non-selective state change sum_i P_i rho P_i."""
     if rho.dim != family.dim:
         raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
-    out = sum(p @ rho.matrix @ p for p in family.projectors)
+    out = (family.stack @ rho.matrix @ family.stack).sum(axis=0)
     return DensityOperator(0.5 * (out + dagger(out)))
 
 
@@ -293,24 +318,15 @@ class AssumptionReport:
 def assumption_holds(rho0: DensityOperator, family: ProjectorFamily) -> AssumptionReport:
     """Check that selection leaves the maximally mixed state on each eigenspace."""
     probs = outcome_probabilities(rho0, family)
-    degs = family.degeneracies
-    residuals = []
-    weighted = []
-    worst = 0.0
-    for p, prob, d in zip(family.projectors, probs, degs):
-        block_dev = max_abs(p @ rho0.matrix @ p - prob * p / d)
-        weighted.append(block_dev)
-        if prob <= PROB_CLAMP:
-            residuals.append(None)
-            continue
-        r = block_dev / prob
-        residuals.append(r)
-        worst = max(worst, r)
+    s = family.stack
+    blocks = s @ rho0.matrix @ s - probs[:, None, None] * s / family.degeneracies[:, None, None]
+    weighted = np.abs(blocks).max(axis=(1, 2))
+    residuals = tuple(None if p <= PROB_CLAMP else w / p for w, p in zip(weighted.tolist(), probs))
     return AssumptionReport(
-        holds=worst < REPEATABILITY_TOL,
-        residuals=tuple(residuals),
-        weighted_residuals=tuple(weighted),
-        weighted_holds=max(weighted) < REPEATABILITY_TOL,
+        holds=all(r is None or r < REPEATABILITY_TOL for r in residuals),
+        residuals=residuals,
+        weighted_residuals=tuple(weighted.tolist()),
+        weighted_holds=bool(weighted.max() < REPEATABILITY_TOL),
         probabilities=probs,
         all_outcomes_populated=bool((probs > PROB_CLAMP).all()),
     )
@@ -358,9 +374,8 @@ def build_sequential_model(
             f"repeatability assumption fails (worst weighted residual {worst:.3e})", report
         )
 
-    evolved = np.stack([u.matrix @ p @ dagger(u.matrix) for p in first_family.projectors])
-    seconds = np.stack(second_family.projectors)
-    pi = np.einsum("jab,iba->ji", seconds, evolved).real
+    firsts, seconds = first_family.stack, second_family.stack
+    pi = np.einsum("jab,iba->ji", seconds, u.matrix @ firsts @ dagger(u.matrix)).real
     pi = np.where((pi < 0.0) & (pi > -PROB_CLAMP), 0.0, pi)
 
     if probabilities is None:
@@ -384,16 +399,8 @@ def build_sequential_model(
 
     # cross-check: the induced joint distribution must match the Born rule
     joint = (pi * x[np.newaxis, :]).T
-    direct = np.einsum(
-        "jab,iba->ji",
-        seconds,
-        np.stack(
-            [
-                u.matrix @ pr @ rho0.matrix @ pr @ dagger(u.matrix)
-                for pr in first_family.projectors
-            ]
-        ),
-    ).real.T
+    selected = u.matrix @ firsts @ rho0.matrix @ firsts @ dagger(u.matrix)
+    direct = np.einsum("jab,iba->ji", seconds, selected).real.T
     dev = max_abs(joint - direct)
     if dev >= 1e-10:
         raise InconsistentModelError(
@@ -438,9 +445,7 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     # shifted Boltzmann weights avoid overflow at large beta
     w0 = np.exp(-beta * (energies0 - energies0.min()))
     z0_shifted = float((d0 * w0).sum())
-    rho0 = DensityOperator(
-        sum((wi / z0_shifted) * p for wi, p in zip(w0, sd0.family.projectors))
-    )
+    rho0 = DensityOperator(((w0 / z0_shifted)[:, None, None] * sd0.family.stack).sum(axis=0))
     w1 = np.exp(-beta * (energies1 - energies1.min()))
     z1_shifted = float((d1 * w1).sum())
     p_tilde = d1 * w1 / z1_shifted
@@ -541,12 +546,12 @@ def dilation_analysis(
     eye1 = np.eye(d1)
 
     evolved = u @ initial @ dagger(u)
-    lifted = [tensor_product(eye1, p) for p in ancilla_family.projectors]
-    selected = sum(lp @ evolved @ lp for lp in lifted)
+    lifted = tensor_product(eye1, ancilla_family.stack)
+    selected = (lifted @ evolved @ lifted).sum(axis=0)
     sigma = DensityOperator(partial_trace(selected, (d1, d2), keep=1))
 
-    q_projs = [dagger(u) @ lp @ u for lp in lifted]
-    rho_prime_m = sum(q @ initial @ q for q in q_projs)
+    q_projs = dagger(u) @ lifted @ u
+    rho_prime_m = (q_projs @ initial @ q_projs).sum(axis=0)
     rho_prime = DensityOperator(0.5 * (rho_prime_m + dagger(rho_prime_m)))
 
     s1 = von_neumann_entropy(rho)
@@ -580,16 +585,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
         raise InputError(f'matrix "dim" must be an integer, got {dim!r}')
-    try:
-        pairs = np.array(obj["entries"])
-    except ValueError:  # ragged nesting
-        pairs = np.empty(0)
-    if pairs.shape[:2] != (dim, dim):
+    pairs = real_array(obj["entries"])
+    if pairs is not None and pairs.shape[:2] != (dim, dim):
         raise ShapeError(f"entries do not form a {dim}x{dim} matrix")
-    # one dtype check of the whole array rules out bools and strings
-    if pairs.shape != (dim, dim, 2) or pairs.dtype.kind not in "iuf":
+    if pairs is None or pairs.shape != (dim, dim, 2):
         raise InputError("matrix entries must be [re, im] pairs of numbers")
-    return pairs.astype(float).view(complex)[..., 0]
+    return pairs.view(complex)[..., 0]
 
 
 def density_from_json(obj: dict) -> DensityOperator:

@@ -20,6 +20,7 @@ x(i) = 0 the contribution is c(i,j)*Pi(j|i), never an explicit 0/0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -280,18 +281,26 @@ def model_to_json(model: SequentialModel) -> dict:
     }
 
 
+def real_array(value) -> np.ndarray | None:
+    """``value`` as a float array, or None if an entry is a bool or not a real number."""
+    # one pass over the entries as objects: numpy would turn a bool beside numbers into 0 or 1
+    arr = np.array(value, dtype=object)
+    if not all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))):
+        return None
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
 def model_from_json(obj: dict) -> SequentialModel:
     if not isinstance(obj, dict):
         raise InputError("model document must be a JSON object")
     missing = {"pi", "x", "x_tilde"} - obj.keys()
     if missing:
         raise InputError(f"model document lacks keys: {sorted(missing)}")
-    try:
-        arrays = {key: np.array(obj[key]) for key in ("pi", "x", "x_tilde")}
-    except ValueError as exc:  # ragged nesting
-        raise InputError(f"model document entries are not numeric: {exc}") from exc
-    # one dtype check per array rules out bools and strings
-    non_numeric = sorted(key for key, arr in arrays.items() if arr.dtype.kind not in "iuf")
+    arrays = {key: real_array(obj[key]) for key in ("pi", "x", "x_tilde")}
+    non_numeric = sorted(key for key, arr in arrays.items() if arr is None)
     if non_numeric:
         raise InputError(f"model document entries are not numeric: {non_numeric}")
     return SequentialModel(**arrays)

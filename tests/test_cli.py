@@ -59,7 +59,7 @@ class TestModelFile:
             "  result: PASS (tol 1e-06)",
         ]
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
     def test_tolerance_is_validated(self, capsys, tmp_path, tol):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5]}))

@@ -258,6 +258,18 @@ def matrix_log_oracle_sigma(sigma_m):
 
 
 class TestEntropyReport:
+    def test_entropies_reuse_the_validation_spectrum(self, monkeypatch):
+        rng = rng_for("report-eigvalsh")
+        rho, sigma = random_density(4, rng=rng), random_density(4, rank=2, rng=rng)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        report = ent.entropy_report(rho, sigma)
+        assert calls == []
+        assert report.s_rho == ent.von_neumann_entropy(rho) > 0.0
+        # the spectrum a DensityOperator keeps is the one eigvalsh gives its matrix
+        assert rho.spectrum.tobytes() == eigvalsh(rho.matrix).tobytes()
+
     def test_counterexample_report(self):
         rho, sigma = ent.counterexample_pair()
         report = ent.entropy_report(rho, sigma)

@@ -158,6 +158,7 @@ class TestConfig:
             ("check_set", "jcheck"),
             ("seed", 5.0),
             ("trials", np.bool_(True)),
+            ("tol", math.inf),
         ],
     )
     def test_malformed_json_values_rejected(self, key, value):
@@ -518,6 +519,23 @@ def _in_process_fingerprint(config) -> str:
 def _sha256(text: str) -> str:
     # digests keep a failed comparison from diffing megabytes of JSON
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _blas_build() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+
+
+#: Only the written last-bit policy of ROADMAP item 7 may change this pin.
+PINNED_FINGERPRINT = "8b73f57dc429ecda57ca93880d8aeddf90cc5490e5a0e2b96ce77a1a14cfcb30"
+
+
+def test_fingerprint_is_pinned():
+    config = hn.ExperimentConfig(seed=21, dims=(2, 3, 5, 16), trials=40)
+    assert _in_process_fingerprint(config) == PINNED_FINGERPRINT, (
+        f"the report's last bits moved (numpy {np.__version__}, BLAS {_blas_build()}); "
+        "a kernel change or another numpy/BLAS build computes different floats"
+    )
 
 
 class TestParallelSuite:

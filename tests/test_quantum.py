@@ -1,11 +1,13 @@
 """Tests for the finite-dimensional quantum layer."""
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+import seqmeas.entropy as ent
 import seqmeas.quantum as qm
 import seqmeas.stat_model as sm
 from seqmeas.entropy import von_neumann_entropy
@@ -15,7 +17,7 @@ from seqmeas.errors import (
     InvalidOperatorError,
     ShapeError,
 )
-from seqmeas.harness import random_density, random_pvm, random_unitary
+from seqmeas.harness import random_density, random_pvm, random_ranks, random_unitary
 
 LOG2 = math.log(2.0)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # |+><+|
@@ -538,6 +540,8 @@ class TestJsonFormat:
             {"dim": 1, "entries": [[[True, False]]]},
             {"dim": 1, "entries": [[["1", 0]]]},
             {"dim": 1, "entries": [[[1, 0, 0]]]},
+            {"dim": 1, "entries": [[[1, True]]]},
+            {"dim": 1, "entries": [[[0.5, False]]]},
         ],
     )
     def test_non_numeric_documents_rejected(self, doc):
@@ -557,3 +561,133 @@ class TestJsonFormat:
         doc = qm.matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(InvalidOperatorError):
             qm.hermitian_from_json(doc)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit: array_equal, plus dtype, shape and the sign of every zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def loop_traces(a, family):
+    return np.array([np.trace(a @ p).real for p in family.projectors])
+
+
+def degenerate_families(dim, rng):
+    """Families with a cluster of rank >= 2 from every constructor.
+
+    ``random_pvm`` on a forced degenerate composition, ``spectral_projectors``
+    of an operator with a repeated eigenvalue, and the public constructor on
+    copies of the first family's projectors (the JSON replay path).
+    """
+    pvm = random_pvm(dim, random_ranks(dim, rng, degenerate=True), rng)
+    ranks = random_ranks(dim, rng, degenerate=True)
+    eigenvalues = np.repeat(np.sort(rng.standard_normal(len(ranks))), ranks)
+    u = random_unitary(dim, rng).matrix
+    spectral = qm.spectral_projectors(u @ np.diag(eigenvalues) @ u.conj().T).family
+    public = qm.ProjectorFamily(tuple(np.array(p) for p in pvm.projectors))
+    for fam in (pvm, spectral):
+        assert fam.degeneracies.max() >= 2
+    return {"random_pvm": pvm, "spectral": spectral, "public": public}
+
+
+DIMS = [2, 5, 8, 16, 64]
+
+
+class TestBatchedKernels:
+    """Each kernel over the projector stack equals its per-projector loop bit for bit."""
+
+    @pytest.fixture(params=DIMS)
+    def case(self, request):
+        dim = request.param
+        rng = rng_for(f"batched-kernels-{dim}")
+        return dim, rng, degenerate_families(dim, rng), random_density(dim, rng=rng)
+
+    def test_stack_is_the_only_copy(self, case):
+        _, _, families, _ = case
+        for fam in families.values():
+            assert fam.stack.shape == (len(fam), fam.dim, fam.dim)
+            for k, p in enumerate(fam.projectors):
+                assert np.shares_memory(p, fam.stack)
+                assert_same_bits(p, fam.stack[k])
+                with pytest.raises(ValueError):
+                    p[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                fam.stack[0, 0, 0] = 2.0
+
+    def test_from_columns_writes_the_hermitian_part(self, case):
+        dim, rng, _, _ = case
+        v = random_unitary(dim, rng).matrix
+        widths = random_ranks(dim, rng, degenerate=True)
+        fam = qm.ProjectorFamily._from_columns(v, widths)
+        for got, block in zip(fam.projectors, np.split(v, np.cumsum(widths)[:-1], axis=1)):
+            p = block @ block.conj().T
+            assert_same_bits(got, 0.5 * (p + p.conj().T))
+
+    def test_outcome_probabilities(self, case):
+        _, _, families, rho = case
+        for fam in families.values():
+            want = np.clip(loop_traces(rho.matrix, fam), 0.0, 1.0)
+            assert_same_bits(qm.outcome_probabilities(rho, fam), want)
+
+    def test_luders_channel(self, case):
+        _, _, families, rho = case
+        for fam in families.values():
+            out = sum(p @ rho.matrix @ p for p in fam.projectors)
+            assert_same_bits(qm.luders_channel(rho, fam).matrix, 0.5 * (out + out.conj().T))
+
+    def test_overlap_matrix(self, case):
+        _, _, families, _ = case
+        for first in families.values():
+            for second in families.values():
+                want = [[np.trace(p @ q).real for q in second.projectors] for p in first.projectors]
+                assert_same_bits(ent._overlaps(first, second), np.clip(np.array(want), 0.0, None))
+
+    def test_minimality_weights(self, case):
+        dim, rng, families, rho = case
+        sigma = random_density(dim, rng=rng)
+        for fam in families.values():
+            result = ent._minimality(rho, sigma, qm.SpectralDecomposition(np.zeros(len(fam)), fam))
+            assert_same_bits(result.q, np.clip(loop_traces(rho.matrix, fam), 0.0, None))
+            assert_same_bits(result.p_tilde, np.clip(loop_traces(sigma.matrix, fam), 0.0, None))
+
+    def test_assumption_and_build_sequential_model(self, case):
+        dim, rng, families, _ = case
+        u = random_unitary(dim, rng)
+        for first in families.values():
+            weights = rng.dirichlet(np.ones(len(first)))
+            rho0 = qm.DensityOperator(
+                sum((w / d) * p for w, d, p in zip(weights, first.degeneracies, first.projectors))
+            )
+            report = qm.assumption_holds(rho0, first)
+            probs = loop_traces(rho0.matrix, first).clip(0.0, 1.0)
+            weighted = [
+                qm.max_abs(p @ rho0.matrix @ p - prob * p / d)
+                for p, prob, d in zip(first.projectors, probs, first.degeneracies)
+            ]
+            assert report.weighted_residuals == tuple(weighted)
+            assert report.residuals == tuple(w / p for w, p in zip(weighted, probs))
+            for second in families.values():
+                p_tilde = rng.dirichlet(np.ones(len(second)))
+                model = qm.build_sequential_model(rho0, first, u, second, p_tilde)
+                evolved = np.stack([u.matrix @ p @ u.matrix.conj().T for p in first.projectors])
+                pi = np.einsum("jab,iba->ji", np.stack(second.projectors), evolved).real
+                assert_same_bits(model.pi, np.where((pi < 0.0) & (pi > -qm.PROB_CLAMP), 0.0, pi))
+                assert_same_bits(model.x, probs / first.degeneracies)
+
+    def test_overlaps_hold_one_block_per_cluster(self):
+        # 32 rank-1 clusters each: the full (k_r, k_s, d, d) product would be 16 MiB
+        dim = 32
+        rng = rng_for("overlap-memory")
+        first = qm.spectral_projectors(random_density(dim, rng=rng).matrix).family
+        second = qm.spectral_projectors(random_density(dim, rng=rng).matrix).family
+        block = len(second) * dim * dim * 16
+        tracemalloc.start()
+        try:
+            ent._overlaps(first, second)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block

@@ -307,6 +307,8 @@ class TestJson:
             {"pi": [[1.0]], "x": [True], "x_tilde": [1.0]},
             {"pi": [[1.0]], "x": [1.0], "x_tilde": ["1"]},
             {"pi": [[1.0, 0.5], [0.5]], "x": [1.0, 1.0], "x_tilde": [1.0, 1.0]},
+            {"pi": [[1.0, True]], "x": [0.0, 1.0], "x_tilde": [0.5]},
+            {"pi": [[1.0, 1.0]], "x": [0, False], "x_tilde": [0.5]},
         ],
     )
     def test_booleans_strings_and_ragged_rows_rejected(self, doc):
