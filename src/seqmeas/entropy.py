@@ -118,7 +118,11 @@ class KleinResult:
 
 
 def klein_check(rho: DensityOperator, sigma: DensityOperator) -> KleinResult:
-    value = relative_entropy(rho, sigma)
+    return _klein(relative_entropy(rho, sigma))
+
+
+def _klein(value: float) -> KleinResult:
+    """Klein's verdict on a relative entropy ``value``."""
     residual = 0.0 if math.isinf(value) else max(-value, 0.0)
     return KleinResult(value=value, residual=residual, passed=residual <= VERDICT_TOL)
 

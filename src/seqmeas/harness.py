@@ -11,13 +11,23 @@ that (their acceptance budgets are 300 against 1000); ``counterexample``
 is a single fixed instance.  ``chain`` evaluates the very models of
 ``jcheck``: its ``rng_alias`` names the trial stream of ``jcheck``.
 
+Generation has two stages.  A check's ``draw`` is a generator function:
+up to a bare ``yield`` it consumes the trial's whole stream and does no
+linear algebra; after it, it is the trial's build, which yields requests
+for stacked kernels (Haar QR with the phase fix, ``G G†/Tr``, density and
+``V†V`` validation).  :func:`_build` runs a chunk's builds side by side and
+answers each round's requests a stack per kernel and array shape, bit for
+bit as one at a time, so how trials are chunked never changes a report.
+``CheckSpec.generate`` is the build of one draw.
+
 Dispatch: checks that share a trial stream form a group.  One loop,
-``_trial_records``, generates each trial of a group once and turns it into
-one record per check (residuals, generated counters, failure bundle or
-None); ``_outcome`` folds a check's records in trial order into its maxima,
-counters and failures.  ``_run_group`` runs the loop over a group's trials
-in contiguous chunks, four per worker, in this process or in worker
-processes; :func:`run_check` is a one-check group in process.
+``_trial_records``, draws each trial of a group once, builds the chunk and
+turns each instance into one record per check (residuals, generated
+counters, failure bundle or None); ``_outcome`` folds a check's records in
+trial order into its maxima, counters and failures.  ``_run_group`` runs
+the loop over a group's trials in contiguous chunks, four per worker, in
+this process or in worker processes; :func:`run_check` is a one-check
+group in process.
 :func:`run_suite` starts ``min(CPUs, checks)`` spawned workers, each with
 BLAS pinned to one thread, unless only one CPU is available or it already
 runs inside a worker.  The fold is the same on both paths, so the report is
@@ -28,6 +38,7 @@ their time in the loop, generation counted for the first check.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import numbers
@@ -212,7 +223,7 @@ def _json_float(v: float):
 
 
 # ---------------------------------------------------------------------------
-# random instance generators
+# random instance generators: a draw per trial, a build per array shape
 # ---------------------------------------------------------------------------
 
 def random_density(
@@ -223,25 +234,43 @@ def random_density(
         rank = dim
     if not 1 <= rank <= dim:
         raise InputError(f"rank must lie in [1, {dim}], got {rank}")
-    g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / math.sqrt(2)
-    m = g @ g.conj().T
-    return qm.DensityOperator(m / np.trace(m).real)
+    return _built(_density(_gaussian(rng, dim, rank)))
 
 
-def _haar_columns(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary matrix via QR with the positive-diagonal phase fix."""
-    if dim < 1:
-        raise InputError("dim must be positive")
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
+def _gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    real = rng.standard_normal((rows, cols))
+    return (real + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
+
+
+def _haar(gs: np.ndarray) -> np.ndarray:
+    """Haar unitaries of square Gaussian blocks: QR with the positive-diagonal phase fix."""
+    q, r = np.linalg.qr(gs)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases[np.newaxis, :]
+    return q * phases[..., np.newaxis, :]
+
+
+def _gram(gs: np.ndarray) -> np.ndarray:
+    """``G G†/Tr(G G†)`` of each Gaussian block of a stack."""
+    ms = gs @ qm.dagger(gs)
+    return ms / np.trace(ms, axis1=1, axis2=2).real[:, np.newaxis, np.newaxis]
+
+
+def _density(g):
+    """Build step: the density operator ``G G†/Tr(G G†)`` of a Gaussian block."""
+    return (yield qm.DensityOperator._stack, (yield _gram, g))
+
+
+def _pvm(g, ranks):
+    """Build step: a Gaussian block's Haar columns as a family of blocks of widths ``ranks``."""
+    return (yield qm.ProjectorFamily._from_column_stack, (yield _haar, g), ranks)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> qm.Unitary:
     """Haar-distributed unitary."""
-    return qm.Unitary(_haar_columns(dim, rng))
+    if dim < 1:
+        raise InputError("dim must be positive")
+    return qm.Unitary(_haar(_gaussian(rng, dim, dim)))
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,8 +283,8 @@ def random_pvm(dim: int, ranks, rng: np.random.Generator) -> qm.ProjectorFamily:
     ranks = [int(r) for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != dim:
         raise InputError(f"ranks {ranks} must be positive and sum to dim={dim}")
-    # _from_columns checks the columns' orthonormality, so no Unitary is built
-    return qm.ProjectorFamily._from_columns(_haar_columns(dim, rng), ranks)
+    # the family checks the columns' orthonormality, so no Unitary is built
+    return _built(_pvm(_gaussian(rng, dim, dim), ranks))
 
 
 def random_ranks(dim: int, rng: np.random.Generator, degenerate: bool) -> list:
@@ -278,8 +307,8 @@ def trial_rng(seed: int, check: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, _CHECK_IDS[check], trial])
 
 
-def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
-    """Quantum-built model; optionally with exact zero first-kind weights.
+def _draw_model(rng: np.random.Generator, dim: int, force_zero: bool):
+    """Draw and build of a quantum-built model; optionally with exact zero first-kind weights.
 
     The initial state is a random mixture of the first family's projectors,
     which guarantees the repeatability assumption.  For zero trials, some
@@ -289,8 +318,8 @@ def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
     ranks1 = random_ranks(dim, rng, degenerate=bool(rng.integers(2)))
     if force_zero and len(ranks1) < 2:
         ranks1 = [1] * dim
-    fam1 = random_pvm(dim, ranks1, rng)
-    k = len(fam1)
+    g1 = _gaussian(rng, dim, dim)
+    k = len(ranks1)
     weights = rng.dirichlet(np.ones(k))
     zero_idx = np.array([], dtype=int)
     if force_zero and k >= 2:
@@ -298,11 +327,16 @@ def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
         zero_idx = rng.choice(k, size=n_zero, replace=False)
         weights[zero_idx] = 0.0
         weights = weights / weights.sum()
+    g_u = _gaussian(rng, dim, dim)
+    ranks2 = random_ranks(dim, rng, degenerate=bool(rng.integers(2)))
+    g2 = _gaussian(rng, dim, dim)
+    p_tilde = rng.dirichlet(np.ones(len(ranks2)))
+    yield
+    fam1 = yield from _pvm(g1, ranks1)
     mixture = (weights / fam1.degeneracies)[:, None, None] * fam1.stack
-    rho0 = qm.DensityOperator(mixture.sum(axis=0))
-    u = random_unitary(dim, rng)
-    fam2 = random_pvm(dim, random_ranks(dim, rng, degenerate=bool(rng.integers(2))), rng)
-    p_tilde = rng.dirichlet(np.ones(len(fam2)))
+    rho0 = yield qm.DensityOperator._stack, mixture.sum(axis=0)
+    u = qm.Unitary((yield _haar, g_u))
+    fam2 = yield from _pvm(g2, ranks2)
     model = qm.build_sequential_model(rho0, fam1, u, fam2, p_tilde)
     if zero_idx.size:
         x = model.x.copy()
@@ -311,11 +345,73 @@ def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
     return model, zero_idx.size > 0
 
 
+def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
+    """``(model, zeroed)`` of :func:`_draw_model`, drawn and built alone."""
+    return _built(_drawn(_draw_model, rng, dim, force_zero))
+
+
 def _require_valid(model: sm.SequentialModel) -> sm.SequentialModel:
     violations = sm.validate_model(model)
     if violations:
         raise InputError(f"generated model is invalid: {violations}")
     return model
+
+
+def _drawn(draw, *args):
+    """The build of a draw: ``draw(*args)`` run up to its bare ``yield``, its stream consumed."""
+    build = draw(*args)
+    next(build)
+    return build
+
+
+def _build(builds: list) -> list:
+    """Run a chunk's builds side by side; each entry becomes its build's value or error.
+
+    A build yields requests ``(kind, array, *args)`` and is sent their results.
+    Each round, the requests are grouped by kind and array shape, and one call
+    ``kind(stack, *per-request args)`` answers a group.  An entry that is an
+    error already (its draw failed) stays as it is.
+    """
+    out = list(builds)
+    sends = {t: None for t, build in enumerate(builds) if not isinstance(build, Exception)}
+    while sends:
+        groups: dict = {}
+        for t, value in sends.items():
+            try:
+                step = builds[t].throw if isinstance(value, Exception) else builds[t].send
+                kind, array, *args = step(value)
+                groups.setdefault((kind, array.shape), []).append((t, array, args))
+            except StopIteration as stop:
+                out[t] = stop.value
+            except (SeqMeasError, np.linalg.LinAlgError) as exc:
+                out[t] = exc
+        sends = {}
+        for (kind, _), requests in groups.items():
+            sends.update(zip([t for t, _, _ in requests], _stacked(kind, requests)))
+    return out
+
+
+def _stacked(kind, requests: list) -> list:
+    """A group's results; if the stack fails, each request is rerun alone and may get an error."""
+    try:
+        return kind(np.stack([a for _, a, _ in requests]), *zip(*(args for *_, args in requests)))
+    except (SeqMeasError, np.linalg.LinAlgError) as exc:
+        if len(requests) == 1:
+            return [exc]
+        return [result for request in requests for result in _stacked(kind, [request])]
+
+
+def _built(build):
+    """The value of one build run alone; its error is raised."""
+    (value,) = _build([build])
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _generate(name: str, rng, config, trial):
+    """``(inputs, counters)`` of one trial of check ``name``: the build of its one draw."""
+    return _built(_drawn(CHECK_SPECS[name].draw, rng, config, trial))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +428,11 @@ def _dims_for(name: str, config: ExperimentConfig) -> list:
     return list(config.dims)
 
 
-def _generate_jcheck(rng, config, trial):
+def _draw_jcheck(rng, config, trial):
     dim = int(rng.choice(_dims_for("jcheck", config)))
-    force_zero = trial % 5 == 0 and dim >= 2
-    model, zeroed = _random_quantum_model(rng, dim, force_zero)
+    model = _drawn(_draw_model, rng, dim, trial % 5 == 0 and dim >= 2)
+    yield
+    model, zeroed = yield from model
     return {"model": _require_valid(model)}, {"zero_x_trials": 1.0 if zeroed else 0.0}
 
 
@@ -363,30 +460,36 @@ def evaluate_chain(model: sm.SequentialModel) -> dict:
     }
 
 
-def _generate_klein(rng, config, trial):
+def _draw_klein(rng, config, trial):
     dim = int(rng.choice(_dims_for("klein", config)))
     def pick_rank():
         return dim if rng.random() < 0.7 else int(rng.integers(1, dim + 1))
-    rho = random_density(dim, pick_rank(), rng=rng)
-    sigma = random_density(dim, pick_rank(), rng=rng)
-    return {"rho": rho, "sigma": sigma}, {}
+    g_rho = _gaussian(rng, dim, pick_rank())
+    g_sigma = _gaussian(rng, dim, pick_rank())
+    yield
+    rho = yield from _density(g_rho)
+    return {"rho": rho, "sigma": (yield from _density(g_sigma))}, {}
 
 
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
-    klein = ent.klein_check(rho, sigma)
+    sd_r, sd_s = ent._decompose(rho, sigma)  # S(rho||rho) reuses rho's decomposition
+    klein = ent._klein(ent._relative_entropy_parts(sd_r, sd_s)[0])
     return {
         "klein_violation": klein.residual,
-        "self_rel_entropy": abs(ent.relative_entropy(rho, rho)),
+        "self_rel_entropy": abs(ent._relative_entropy_parts(sd_r, sd_r)[0]),
         "infinite_rel_entropy_trials": 1.0 if math.isinf(klein.value) else 0.0,
     }
 
 
-def _generate_luders(rng, config, trial):
+def _draw_luders(rng, config, trial):
     dim = int(rng.choice(_dims_for("luders", config)))
     rank = dim if trial % 4 else int(rng.integers(1, dim + 1))
-    rho = random_density(dim, rank, rng=rng)
-    family = random_pvm(dim, random_ranks(dim, rng, degenerate=bool(trial % 2)), rng)
-    return {"rho": rho, "family": family}, {}
+    g_rho = _gaussian(rng, dim, rank)
+    ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
+    g_v = _gaussian(rng, dim, dim)
+    yield
+    rho = yield from _density(g_rho)
+    return {"rho": rho, "family": (yield from _pvm(g_v, ranks))}, {}
 
 
 def _luders_report_residuals(
@@ -410,18 +513,18 @@ def evaluate_minimal(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dic
     return _luders_report_residuals(rho, family, "order_violation")
 
 
-def _generate_jarzynski(rng, config, trial):
+def _draw_jarzynski(rng, config, trial):
     dim = int(rng.choice(_dims_for("jarzynski", config)))
     beta = config.beta_values[trial % len(config.beta_values)]
-    return {
-        "h0": _random_grounded_hermitian(rng, dim),
-        "h1": _random_grounded_hermitian(rng, dim),
-        "u": random_unitary(dim, rng),
-        "beta": float(beta),
-    }, {}
+    h0 = _drawn(_draw_grounded_hermitian, rng, dim)
+    h1 = _drawn(_draw_grounded_hermitian, rng, dim)
+    g_u = _gaussian(rng, dim, dim)
+    yield
+    inputs = {"h0": (yield from h0), "h1": (yield from h1)}
+    return {**inputs, "u": qm.Unitary((yield _haar, g_u)), "beta": float(beta)}, {}
 
 
-def _random_grounded_hermitian(rng, dim) -> np.ndarray:
+def _draw_grounded_hermitian(rng, dim):
     """Random Hermitian with spectrum inside [-2, 2] and ground energy -2.
 
     Anchoring both Hamiltonians at a common ground energy keeps the
@@ -430,7 +533,9 @@ def _random_grounded_hermitian(rng, dim) -> np.ndarray:
     """
     eigs = rng.uniform(-2.0, 2.0, dim)
     eigs = eigs - (eigs.min() + 2.0)
-    v = _haar_columns(dim, rng)
+    g = _gaussian(rng, dim, dim)
+    yield
+    v = yield _haar, g
     h = (v * eigs[np.newaxis, :]) @ v.conj().T
     return 0.5 * (h + h.conj().T)
 
@@ -440,14 +545,18 @@ def evaluate_jarzynski(h0, h1, u: qm.Unitary, beta: float) -> dict:
     return {"jarzynski_gap": abs(result.lhs - result.rhs)}
 
 
-def _generate_dilation(rng, config, trial):
+def _draw_dilation(rng, config, trial):
     dim = int(rng.choice(_dims_for("dilation", config)))
-    return {
-        "rho": random_density(dim, rng=rng),
-        "u_total": random_unitary(dim * dim, rng),
-        "ancilla_family": random_pvm(dim, random_ranks(dim, rng, degenerate=bool(trial % 2)), rng),
-        "phi": random_state_vector(dim, rng),
-    }, {}
+    g_rho = _gaussian(rng, dim, dim)
+    g_u = _gaussian(rng, dim * dim, dim * dim)
+    ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
+    g_v = _gaussian(rng, dim, dim)
+    phi = random_state_vector(dim, rng)
+    yield
+    rho = yield from _density(g_rho)
+    u_total = qm.Unitary((yield _haar, g_u))
+    family = yield from _pvm(g_v, ranks)
+    return {"rho": rho, "u_total": u_total, "ancilla_family": family, "phi": phi}, {}
 
 
 def evaluate_dilation(rho, u_total, ancilla_family, phi) -> dict:
@@ -486,7 +595,8 @@ def _swap_reset_extras() -> dict:
     }
 
 
-def _generate_counterexample(rng, config, trial):
+def _draw_counterexample(rng, config, trial):
+    yield
     return {}, {}
 
 
@@ -611,13 +721,18 @@ class CheckSpec:
     name: str
     trial_fraction: float | None  # None: single fixed instance
     tolerances: dict
-    generate: object
+    draw: object  # (rng, config, trial) -> its stream's draws, a bare yield, then their build
     evaluate: object
     serialize: object
     deserialize: object
     rng_alias: str | None = None
     fixed: object | None = None
     fixed_tolerances: dict = field(default_factory=dict)
+    generate: object = None  # (rng, config, trial) -> (inputs, counters); None: one draw built
+
+    def __post_init__(self):
+        if self.generate is None:
+            object.__setattr__(self, "generate", functools.partial(_generate, self.name))
 
 
 CHECK_SPECS = {
@@ -625,7 +740,7 @@ CHECK_SPECS = {
         name="jcheck",
         trial_fraction=1.0,
         tolerances={"j_residual": 1e-9, "j_reverse_residual": 1e-9},
-        generate=_generate_jcheck,
+        draw=_draw_jcheck,
         evaluate=evaluate_jcheck,
         serialize=_ser_model,
         deserialize=_des_model,
@@ -638,7 +753,7 @@ CHECK_SPECS = {
             "hq_exceeds_cross": 1e-10,
             "minimal_gap": 1e-12,
         },
-        generate=_generate_jcheck,
+        draw=_draw_jcheck,
         evaluate=evaluate_chain,
         serialize=_ser_model,
         deserialize=_des_model,
@@ -648,7 +763,7 @@ CHECK_SPECS = {
         name="klein",
         trial_fraction=1.0,
         tolerances={"klein_violation": 1e-10, "self_rel_entropy": 1e-12},
-        generate=_generate_klein,
+        draw=_draw_klein,
         evaluate=evaluate_klein,
         serialize=_ser_pair,
         deserialize=_des_pair,
@@ -662,7 +777,7 @@ CHECK_SPECS = {
             "non_minimal_trials": 0.5,
             "identity_residual": 1e-9,
         },
-        generate=_generate_luders,
+        draw=_draw_luders,
         evaluate=evaluate_luders,
         serialize=_ser_state_family,
         deserialize=_des_state_family,
@@ -676,7 +791,7 @@ CHECK_SPECS = {
             "minimality_residual": 1e-10,
             "non_minimal_trials": 0.5,
         },
-        generate=_generate_luders,
+        draw=_draw_luders,
         evaluate=evaluate_minimal,
         serialize=_ser_state_family,
         deserialize=_des_state_family,
@@ -685,7 +800,7 @@ CHECK_SPECS = {
         name="jarzynski",
         trial_fraction=0.3,
         tolerances={"jarzynski_gap": 1e-9},
-        generate=_generate_jarzynski,
+        draw=_draw_jarzynski,
         evaluate=evaluate_jarzynski,
         serialize=_ser_jarzynski,
         deserialize=_des_jarzynski,
@@ -694,7 +809,7 @@ CHECK_SPECS = {
         name="dilation",
         trial_fraction=0.3,
         tolerances={"s1_exceeds_s2": 1e-9, "s2_exceeds_s3": 1e-9},
-        generate=_generate_dilation,
+        draw=_draw_dilation,
         evaluate=evaluate_dilation,
         serialize=_ser_dilation,
         deserialize=_des_dilation,
@@ -720,7 +835,7 @@ CHECK_SPECS = {
             "p_tilde_dev": 1e-12,
             "minimality_verdict": 0.5,
         },
-        generate=_generate_counterexample,
+        draw=_draw_counterexample,
         evaluate=evaluate_counterexample,
         serialize=lambda: {},
         deserialize=lambda obj: {},
@@ -743,23 +858,27 @@ def _gates(pinned: dict, tol) -> dict:
 def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
     """``(records, seconds)`` of a stream group's trials, each keyed by check name.
 
-    The first check's ``generate`` makes each trial's instance once.  A
-    check's records are one ``(residuals, generated counters, failure bundle
-    or None)`` per trial, in order; its seconds are its time in the loop.
-    Worker processes run the loop too, so it takes only picklable arguments.
+    The first check's ``draw`` consumes each trial's stream once, and one
+    :func:`_build` turns all the trials' draws into instances.  A check's
+    records are one ``(residuals, generated counters, failure bundle or
+    None)`` per trial, in order; its seconds are its time in the loop, the
+    draws and the build counted for the first check.  Worker processes run
+    the loop too, so it takes only picklable arguments.
     """
     first = CHECK_SPECS[names[0]]
     stream = first.rng_alias or names[0]
     gates = {name: _gates(CHECK_SPECS[name].tolerances, config.tol) for name in names}
     records = {name: [] for name in names}
     seconds = dict.fromkeys(names, 0.0)
+    started = time.perf_counter()
+    draws = []
     for trial in trials:
-        bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
-        started = time.perf_counter()
         try:
-            instance = first.generate(trial_rng(config.seed, stream, trial), config, trial)
+            draws.append(_drawn(first.draw, trial_rng(config.seed, stream, trial), config, trial))
         except (SeqMeasError, np.linalg.LinAlgError) as exc:
-            instance = exc
+            draws.append(exc)
+    for trial, instance in zip(trials, _build(draws)):
+        bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
         for name in names:
             record = _trial_record(name, gates[name], {"check": name, **bundle}, instance)
             records[name].append(record)

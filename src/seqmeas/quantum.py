@@ -5,10 +5,13 @@ provides validated wrapper types (density operators, unitaries, complete
 projector families), spectral eigenprojections, the Lueders channel,
 the construction of a :class:`~seqmeas.stat_model.SequentialModel` from
 quantum data, the two-point work protocol, and measurement dilation.
-Public constructors (and so JSON loading) validate every axiom; families
-built from orthonormal columns are checked once, through ``V†V = I``.
-A family holds its projectors as one read-only ``(k, d, d)`` stack, and
-the Born, overlap and Lueders kernels are batched matmuls over it.  A
+Public constructors (and so JSON loading and unpickling) validate every
+axiom; families built from orthonormal columns are checked once, through
+``V†V = I``.  Trial generation validates densities and column families a
+stack at a time, bit for bit as one at a time, and forms an all-rank-one
+family's projectors in one batched ``(d, 1) @ (1, d)`` product.  A family
+holds its projectors as one read-only ``(k, d, d)`` stack, and the Born,
+overlap and Lueders kernels are batched matmuls over it.  A
 :class:`DensityOperator` keeps the spectrum its positivity check computes,
 so its entropy needs no second decomposition.
 
@@ -86,21 +89,45 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix, "density operator")
-        herm = max_abs(m - dagger(m))
+        (spectrum,) = self._spectra(m[np.newaxis])
+        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "_spectrum", spectrum)
+
+    def __reduce__(self):
+        return type(self), (self.matrix,)
+
+    @staticmethod
+    def _spectra(ms: np.ndarray) -> np.ndarray:
+        """Read-only ``eigvalsh`` spectra of a ``(n, d, d)`` stack of finite matrices.
+
+        Each matrix is checked as a density operator; an error reports the
+        stack's worst residual, which is the matrix's own for a stack of one.
+        """
+        herm = max_abs(ms - dagger(ms))
         if herm >= HERMITIAN_TOL:
             raise InvalidOperatorError("density operator is not Hermitian", "hermitian", herm)
-        spectrum = np.linalg.eigvalsh(m)
-        min_eig = float(spectrum.min())
+        spectra = np.linalg.eigvalsh(ms)
+        min_eig = float(spectra.min())
         if min_eig <= -PSD_TOL:
             raise InvalidOperatorError(
                 "density operator is not positive semidefinite", "positive", -min_eig
             )
-        trace_dev = abs(np.trace(m).real - 1.0)
+        trace_dev = float(np.abs(np.trace(ms, axis1=1, axis2=2).real - 1.0).max())
         if trace_dev >= TRACE_TOL:
             raise InvalidOperatorError("density operator trace is not one", "unit_trace", trace_dev)
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "matrix", _frozen(m))
-        object.__setattr__(self, "_spectrum", spectrum)
+        spectra.setflags(write=False)
+        return spectra
+
+    @classmethod
+    def _stack(cls, ms: np.ndarray) -> list:
+        """Density operators of a ``(n, d, d)`` stack, checked as one stack."""
+        if not np.isfinite(ms).all():
+            raise InputError("density operator must have finite entries")
+        out = [object.__new__(cls) for _ in ms]
+        for rho, m, spectrum in zip(out, ms, cls._spectra(ms)):
+            object.__setattr__(rho, "matrix", _frozen(m))
+            object.__setattr__(rho, "_spectrum", spectrum)
+        return out
 
     @property
     def dim(self) -> int:
@@ -122,6 +149,9 @@ class Unitary:
         if dev >= UNITARY_TOL:
             raise InvalidOperatorError("matrix is not unitary", "unitary", dev)
         object.__setattr__(self, "matrix", _frozen(m))
+
+    def __reduce__(self):
+        return type(self), (self.matrix,)
 
     @property
     def dim(self) -> int:
@@ -194,27 +224,43 @@ class ProjectorFamily:
         object.__setattr__(self, "projectors", tuple(stack))
         object.__setattr__(self, "_degeneracies", np.array(degeneracies, dtype=int))
 
+    def __reduce__(self):
+        return type(self), (self.projectors, self.labels)
+
     @classmethod
     def _from_columns(cls, v: np.ndarray, widths) -> "ProjectorFamily":
-        """Family ``P_a = B_a B_a†`` of the consecutive column blocks ``B_a`` of a square ``v``.
+        """Family ``P_a = B_a B_a†`` of the consecutive column blocks ``B_a`` of square ``v``."""
+        return cls._from_column_stack(v[np.newaxis], [widths])[0]
+
+    @classmethod
+    def _from_column_stack(cls, vs: np.ndarray, widths) -> list:
+        """``_from_columns(vs[i], widths[i])`` for each matrix of a ``(n, d, d)`` stack.
 
         ``widths`` (positive, summing to the dimension d) become the degeneracies.
-        The one check ``|E|_max < eps = PROJECTOR_TOL / d**2`` on ``E = V†V - I``
-        implies every axiom ``__post_init__`` checks: ``VV† - I`` has the spectrum of
-        ``E``, so completeness holds to ``d eps``; ``P_a P_b - delta_ab P_a =
-        B_a E_ab B_b†`` is ``O(d eps)``; ``Tr P_a = w_a + Tr E_aa`` is within ``d eps``
-        of ``w_a``; and ``0.5 (p + p†)`` is exactly Hermitian in floating point.
+        The one check ``|E|_max < eps = PROJECTOR_TOL / d**2`` on ``E = V†V - I``,
+        made on the whole stack, implies every axiom ``__post_init__`` checks:
+        ``VV† - I`` has the spectrum of ``E``, so completeness holds to ``d eps``;
+        ``P_a P_b - delta_ab P_a = B_a E_ab B_b†`` is ``O(d eps)``; ``Tr P_a = w_a +
+        Tr E_aa`` is within ``d eps`` of ``w_a``; and ``0.5 (p + p†)`` is exactly
+        Hermitian in floating point.  A NaN fails the check.
         """
-        dev = max_abs(dagger(v) @ v - np.eye(len(v)))
-        if dev >= PROJECTOR_TOL / len(v) ** 2:
+        d = vs.shape[-1]
+        dev = float(np.abs(dagger(vs) @ vs - np.eye(d)).max())
+        if not dev < PROJECTOR_TOL / d**2:
             raise InvalidOperatorError("columns are not orthonormal", "orthonormal", dev)
-        stack = np.empty((len(widths), len(v), len(v)), dtype=complex)
-        for p, stop, width in zip(stack, accumulate(widths), widths):
-            block = v[:, stop - width : stop]
-            np.matmul(block, dagger(block), out=p)
-        family = object.__new__(cls)
-        family._hold(0.5 * (stack + dagger(stack)), widths, tuple(range(len(widths))))
-        return family
+        out = []
+        for v, w in zip(vs, widths):
+            if len(w) == d:  # all rank one: one batched (d, 1) @ (1, d) product
+                columns = v.T[:, :, np.newaxis]
+                stack = columns @ dagger(columns)
+            else:
+                stack = np.empty((len(w), d, d), dtype=complex)
+                for p, stop, width in zip(stack, accumulate(w), w):
+                    block = v[:, stop - width : stop]
+                    np.matmul(block, dagger(block), out=p)
+            out.append(object.__new__(cls))
+            out[-1]._hold(0.5 * (stack + dagger(stack)), w, tuple(range(len(w))))
+        return out
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -272,10 +318,12 @@ def spectral_projectors(a) -> SpectralDecomposition:
     members and its degeneracy the cluster multiplicity.
     """
     w, v = hermitian_eigendecomposition(a)
-    slices = _cluster_slices(w, CLUSTER_TOL)
+    cuts = (np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1).tolist()
+    bounds = list(zip([0, *cuts], [*cuts, len(w)]))
     return SpectralDecomposition(
-        eigenvalues=np.array([float(w[sl].mean()) for sl in slices]),
-        family=ProjectorFamily._from_columns(v, [sl.stop - sl.start for sl in slices]),
+        # a one-member cluster's mean is its member
+        eigenvalues=np.array([w[lo] if hi - lo == 1 else w[lo:hi].mean() for lo, hi in bounds]),
+        family=ProjectorFamily._from_columns(v, [hi - lo for lo, hi in bounds]),
     )
 
 

@@ -72,6 +72,9 @@ class SequentialModel:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "x_tilde", x_tilde)
 
+    def __reduce__(self):
+        return type(self), (self.pi, self.x, self.x_tilde)
+
     @property
     def n_first(self) -> int:
         return self.pi.shape[1]

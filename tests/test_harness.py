@@ -1,6 +1,7 @@
 """Tests for the generators, the suite runner and failure replay."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,8 +14,9 @@ import pytest
 
 import seqmeas.harness as hn
 import seqmeas.quantum as qm
+import seqmeas.stat_model as sm
 from seqmeas.entropy import von_neumann_entropy
-from seqmeas.errors import ConfigError, InputError, InvalidOperatorError
+from seqmeas.errors import ConfigError, InputError, InvalidOperatorError, SeqMeasError
 
 
 class TestRandomDensity:
@@ -369,9 +371,9 @@ class TestRunCheck:
         monkeypatch.setattr(qm, "spectral_projectors", counting)
         monkeypatch.setattr(ent, "spectral_projectors", counting)
         config = hn.ExperimentConfig(seed=7, dims=(3, 4), trials=4)
-        # luders and minimal: rho and its Lueders image; klein: rho, sigma, then
-        # rho once more for S(rho||rho)
-        for name, expected in (("luders", 2), ("minimal", 2), ("klein", 3)):
+        # luders and minimal: rho and its Lueders image; klein: rho and sigma, whose
+        # decompositions also give S(rho||rho)
+        for name, expected in (("luders", 2), ("minimal", 2), ("klein", 2)):
             spec = hn.CHECK_SPECS[name]
             inputs, _ = spec.generate(hn.trial_rng(config.seed, name, 1), config, 1)
             calls.clear()
@@ -389,13 +391,13 @@ class TestRunCheck:
 
         spec = hn.CHECK_SPECS["klein"]
 
-        def broken_generate(rng, config, trial):
+        def broken_draw(rng, config, trial):
             if trial == 1:
                 raise InputError("synthetic generation failure")
-            return spec.generate(rng, config, trial)
+            return spec.draw(rng, config, trial)
 
         monkeypatch.setitem(
-            hn.CHECK_SPECS, "klein", dataclasses.replace(spec, generate=broken_generate)
+            hn.CHECK_SPECS, "klein", dataclasses.replace(spec, draw=broken_draw)
         )
         config = hn.ExperimentConfig(seed=1, dims=(2,), trials=3, check_set=("klein",))
         outcome = hn.run_check("klein", config)
@@ -435,25 +437,30 @@ class TestRunSuite:
 
 
 def _counting_spec(monkeypatch, name, calls, **raising):
-    """Replace ``name``'s spec by one that counts generate calls; ``raising`` picks a
-    stage (``generate`` or ``evaluate``) and the trial on which it raises."""
+    """Replace ``name``'s spec by one that counts draws; ``raising`` picks a stage
+    (``generate`` or ``evaluate``) and the trial on which it raises.  A chunk's
+    draws all run before its evaluations, so the evaluated trial is read from
+    the model its draw built."""
     import dataclasses
 
     spec = hn.CHECK_SPECS[name]
+    trial_of = {}
 
-    def generate(rng, config, trial):
+    def draw(rng, config, trial):
         calls.append((name, trial))
         if raising.get("generate") == trial:
             raise InputError("synthetic generation failure")
-        return spec.generate(rng, config, trial)
+        inputs, counters = yield from spec.draw(rng, config, trial)
+        trial_of[id(inputs["model"])] = trial
+        return inputs, counters
 
     def evaluate(**inputs):
-        if raising.get("evaluate") == calls[-1][1]:  # the trial generated last
+        if raising.get("evaluate") == trial_of.get(id(inputs["model"]), -1):
             raise InputError("synthetic evaluation failure")
         return spec.evaluate(**inputs)
 
     monkeypatch.setitem(
-        hn.CHECK_SPECS, name, dataclasses.replace(spec, generate=generate, evaluate=evaluate)
+        hn.CHECK_SPECS, name, dataclasses.replace(spec, draw=draw, evaluate=evaluate)
     )
 
 
@@ -507,6 +514,114 @@ class TestStreamGroups:
         report = hn.run_suite(hn.ExperimentConfig(seed=21, dims=(2, 3), trials=8))
         assert all(c.duration_seconds > 0 for c in report.checks)
         assert sum(c.duration_seconds for c in report.checks) <= report.duration_seconds
+
+
+#: each randomised check's stream group, the first name drawing for the group
+STREAM_GROUPS = [("jcheck", "chain"), ("klein",), ("luders",), ("minimal",), ("jarzynski",),
+                 ("dilation",)]
+
+
+def _record_bits(records) -> dict:
+    """Records with every residual and counter as ``float.hex``, bundles as canonical JSON."""
+    def hexed(values):
+        return {k: float(v).hex() for k, v in values.items()}
+
+    return {
+        name: [(hexed(res), hexed(counters), json.dumps(bundle, sort_keys=True))
+               for res, counters, bundle in rs]
+        for name, rs in records.items()
+    }
+
+
+def _input_bits(value):
+    """dtype, shape, bytes and write flag of every array an instance input holds."""
+    if isinstance(value, qm.DensityOperator):
+        return _input_bits(value.matrix), _input_bits(value.spectrum)
+    if isinstance(value, qm.ProjectorFamily):
+        projectors = [_input_bits(p) for p in value.projectors]
+        return _input_bits(value.stack), projectors, _input_bits(value.degeneracies), value.labels
+    if isinstance(value, qm.Unitary):
+        return _input_bits(value.matrix)
+    if isinstance(value, sm.SequentialModel):
+        return _input_bits(value.pi), _input_bits(value.x), _input_bits(value.x_tilde)
+    if isinstance(value, np.ndarray):
+        return str(value.dtype), value.shape, value.tobytes(), value.flags.writeable
+    return float(value).hex()
+
+
+class TestBatchedGeneration:
+    """A chunk's draws are built a stack per array shape; no chunking moves a bit."""
+
+    CONFIG = dict(seed=41, dims=(2, 3, 5, 16), trials=20)
+
+    @pytest.mark.parametrize("tol", [None, 1e-300])
+    @pytest.mark.parametrize("names", STREAM_GROUPS, ids="-".join)
+    def test_chunking_never_moves_bits(self, names, tol):
+        config = hn.ExperimentConfig(**self.CONFIG, tol=tol)
+        trials = range(hn.n_trials(names[0], config))
+        whole = _record_bits(hn._trial_records(names, config, trials)[0])
+        if tol is not None:
+            assert any(bundle != "null" for _, _, bundle in whole[names[0]])
+        for size in (1, 3, 7):
+            parts = [hn._trial_records(names, config, trials[lo:lo + size])[0]
+                     for lo in range(0, len(trials), size)]
+            chunked = {name: [r for part in parts for r in part[name]] for name in names}
+            assert _record_bits(chunked) == whole, size
+
+    @pytest.mark.parametrize("name", [names[0] for names in STREAM_GROUPS if len(names) == 1]
+                             + ["jcheck", "chain"])
+    def test_generate_is_the_batched_build(self, name):
+        config = hn.ExperimentConfig(**self.CONFIG)
+        spec = hn.CHECK_SPECS[name]
+        stream = spec.rng_alias or name
+        trials = range(hn.n_trials(name, config))
+        draws = [hn._drawn(spec.draw, hn.trial_rng(config.seed, stream, t), config, t)
+                 for t in trials]
+        for trial, (inputs, counters) in zip(trials, hn._build(draws)):
+            alone, alone_counters = spec.generate(hn.trial_rng(config.seed, stream, trial),
+                                                  config, trial)
+            assert counters == alone_counters
+            assert inputs.keys() == alone.keys()
+            for key in inputs:
+                assert _input_bits(inputs[key]) == _input_bits(alone[key]), (trial, key)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("names", STREAM_GROUPS, ids="-".join)
+    def test_a_nan_block_fails_its_trial_alone(self, monkeypatch, names):
+        config = hn.ExperimentConfig(seed=43, dims=(2, 3, 4), trials=20)
+        spec = hn.CHECK_SPECS[names[0]]
+        stream = spec.rng_alias or names[0]
+        trials = range(hn.n_trials(names[0], config))
+        bad = trials[len(trials) // 2]
+        clean = _record_bits(hn._trial_records(names, config, trials)[0])
+
+        gaussian = hn._gaussian
+        poison = []
+
+        def nan_first_block(rng, rows, cols):
+            block = gaussian(rng, rows, cols)  # the stream moves on as it would
+            return np.full_like(block, np.nan) if poison and poison.pop() else block
+
+        def draw(rng, config, trial):
+            poison[:] = [trial == bad]
+            return spec.draw(rng, config, trial)
+
+        monkeypatch.setattr(hn, "_gaussian", nan_first_block)
+        monkeypatch.setitem(hn.CHECK_SPECS, names[0], dataclasses.replace(spec, draw=draw))
+        records = _record_bits(hn._trial_records(names, config, trials)[0])
+        for name in names:
+            try:  # the trial alone: its draw built as a batch of one, then evaluated
+                inputs, _ = hn._built(hn._drawn(draw, hn.trial_rng(config.seed, stream, bad),
+                                                config, bad))
+                hn.CHECK_SPECS[name].evaluate(**inputs)
+                expected = None
+            except (SeqMeasError, np.linalg.LinAlgError) as exc:
+                expected = f"{type(exc).__name__}: {exc}"
+            assert expected is not None
+            failed = json.loads(records[name][bad][2])
+            assert failed["trial"] == bad and failed["error"] == expected
+            assert records[name][:bad] == clean[name][:bad]
+            assert records[name][bad + 1:] == clean[name][bad + 1:]
 
 
 def _in_process_fingerprint(config) -> str:

@@ -1,6 +1,7 @@
 """Tests for the finite-dimensional quantum layer."""
 
 import math
+import pickle
 import tracemalloc
 import zlib
 
@@ -166,6 +167,18 @@ class TestSpectralProjectors:
             qm.ProjectorFamily._from_columns(v * (1 + 0.01 * eps), [dim])
             with pytest.raises(InvalidOperatorError) as err:
                 qm.ProjectorFamily._from_columns(v * (1 + eps), [1] * dim)
+            assert err.value.constraint == "orthonormal"
+
+    def test_column_family_rejects_nan_columns(self):
+        with pytest.raises(InvalidOperatorError) as err:
+            qm.ProjectorFamily._from_columns(np.full((2, 2), np.nan), [1, 1])
+        assert err.value.constraint == "orthonormal"
+        v = random_unitary(3, rng_for("column-nan")).matrix.copy()
+        v[1, 2] = np.nan
+        stack = np.stack([np.eye(3, dtype=complex), v])
+        for widths in ([1, 1, 1], [1, 2]):
+            with pytest.raises(InvalidOperatorError) as err:
+                qm.ProjectorFamily._from_column_stack(stack, [widths, widths])
             assert err.value.constraint == "orthonormal"
 
 
@@ -691,3 +704,49 @@ class TestBatchedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 3 * block
+
+
+class TestPickle:
+    """Unpickling goes through the public constructors."""
+
+    @staticmethod
+    def objects():
+        rng = rng_for("pickle")
+        rho = random_density(4, rng=rng)
+        fam = random_pvm(4, [1, 2, 1], rng)
+        spectral = qm.spectral_projectors(random_density(3, rng=rng).matrix).family
+        model = sm.SequentialModel(pi=[[0.25, 0.5], [0.75, 0.5]], x=[0.5, 0.5], x_tilde=[0.5, 0.5])
+        return rho, random_unitary(4, rng), fam, spectral, model
+
+    def test_round_trip_restores_the_invariants(self):
+        rho, u, fam, spectral, model = self.objects()
+        back = pickle.loads(pickle.dumps(rho))
+        for got, want in ((back.matrix, rho.matrix), (back.spectrum, rho.spectrum)):
+            assert_same_bits(got, want)
+            assert not got.flags.writeable
+        back = pickle.loads(pickle.dumps(u))
+        assert_same_bits(back.matrix, u.matrix)
+        assert not back.matrix.flags.writeable
+        for family in (fam, spectral):
+            back = pickle.loads(pickle.dumps(family))
+            assert_same_bits(back.stack, family.stack)
+            assert_same_bits(back.degeneracies, family.degeneracies)
+            assert back.labels == family.labels
+            assert not back.stack.flags.writeable
+            for p in back.projectors:
+                assert np.shares_memory(p, back.stack) and not p.flags.writeable
+        back = pickle.loads(pickle.dumps(model))
+        for got, want in zip((back.pi, back.x, back.x_tilde), (model.pi, model.x, model.x_tilde)):
+            assert_same_bits(got, want)
+            assert not got.flags.writeable
+
+    def test_tampered_payload_raises(self):
+        rho, u, fam, _, _ = self.objects()
+        for obj, array in ((rho, rho.matrix), (u, u.matrix), (fam, fam.projectors[0])):
+            tampered = np.array(array)
+            tampered[0, 0] += 0.25
+            payload = pickle.dumps(obj)
+            assert payload.count(array.tobytes()) == 1
+            with pytest.raises(InvalidOperatorError):
+                pickle.loads(payload.replace(array.tobytes(), tampered.tobytes()))
+
