@@ -11,23 +11,21 @@ that (their acceptance budgets are 300 against 1000); ``counterexample``
 is a single fixed instance.  ``chain`` evaluates the very models of
 ``jcheck``: its ``rng_alias`` names the trial stream of ``jcheck``.
 
-Generation has two stages.  A check's ``draw`` is a generator function:
-up to a bare ``yield`` it consumes the trial's whole stream and does no
-linear algebra; after it, it is the trial's build, which yields requests
-for stacked kernels (Haar QR with the phase fix, ``G G†/Tr``, density and
-``V†V`` validation).  :func:`_build` runs a chunk's builds side by side and
-answers each round's requests a stack per kernel and array shape, bit for
-bit as one at a time, so how trials are chunked never changes a report.
-``CheckSpec.generate`` is the build of one draw.
+Generation has two stages.  A check's ``draw`` is a generator function
+that consumes its trial's whole stream, with no linear algebra, up to a
+bare ``yield``; the rest of it is the trial's build, which yields requests
+for stacked kernels.  :func:`_build` answers a batch of builds' requests a
+stack per kernel and array shape, bit for bit as one at a time, so how
+trials are batched never changes a report.
 
 Dispatch: checks that share a trial stream form a group.  One loop,
-``_trial_records``, draws each trial of a group once, builds the chunk and
-turns each instance into one record per check (residuals, generated
-counters, failure bundle or None); ``_outcome`` folds a check's records in
-trial order into its maxima, counters and failures.  ``_run_group`` runs
-the loop over a group's trials in contiguous chunks, four per worker, in
-this process or in worker processes; :func:`run_check` is a one-check
-group in process.
+``_trial_records``, draws each trial of a group once, builds the draws in
+batches of bounded size and turns each instance into one record per check
+(residuals, generated counters, failure bundle or None); ``_outcome`` folds
+a check's records in trial order into its maxima, counters and failures.
+``_run_group`` runs the loop over a group's trials in contiguous chunks,
+four per worker, in this process or in worker processes; :func:`run_check`
+is a one-check group in process.
 :func:`run_suite` starts ``min(CPUs, checks)`` spawned workers, each with
 BLAS pinned to one thread, unless only one CPU is available or it already
 runs inside a worker.  The fold is the same on both paths, so the report is
@@ -234,7 +232,7 @@ def random_density(
         rank = dim
     if not 1 <= rank <= dim:
         raise InputError(f"rank must lie in [1, {dim}], got {rank}")
-    return _built(_density(_gaussian(rng, dim, rank)))
+    return _densities(_gaussian(rng, dim, rank)[np.newaxis])[0]
 
 
 def _gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -250,20 +248,15 @@ def _haar(gs: np.ndarray) -> np.ndarray:
     return q * phases[..., np.newaxis, :]
 
 
-def _gram(gs: np.ndarray) -> np.ndarray:
-    """``G G†/Tr(G G†)`` of each Gaussian block of a stack."""
+def _densities(gs: np.ndarray) -> list:
+    """Density operators ``G G†/Tr(G G†)`` of a stack of Gaussian blocks, checked together."""
     ms = gs @ qm.dagger(gs)
-    return ms / np.trace(ms, axis1=1, axis2=2).real[:, np.newaxis, np.newaxis]
+    return qm.DensityOperator._stack(ms / np.trace(ms, axis1=1, axis2=2).real[:, None, None])
 
 
-def _density(g):
-    """Build step: the density operator ``G G†/Tr(G G†)`` of a Gaussian block."""
-    return (yield qm.DensityOperator._stack, (yield _gram, g))
-
-
-def _pvm(g, ranks):
-    """Build step: a Gaussian block's Haar columns as a family of blocks of widths ``ranks``."""
-    return (yield qm.ProjectorFamily._from_column_stack, (yield _haar, g), ranks)
+def _pvms(gs: np.ndarray, ranks) -> list:
+    """Families of the Haar columns of a stack of Gaussian blocks, of widths ``ranks[i]``."""
+    return qm.ProjectorFamily._from_column_stack(_haar(gs), ranks)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> qm.Unitary:
@@ -284,7 +277,7 @@ def random_pvm(dim: int, ranks, rng: np.random.Generator) -> qm.ProjectorFamily:
     if any(r < 1 for r in ranks) or sum(ranks) != dim:
         raise InputError(f"ranks {ranks} must be positive and sum to dim={dim}")
     # the family checks the columns' orthonormality, so no Unitary is built
-    return _built(_pvm(_gaussian(rng, dim, dim), ranks))
+    return _pvms(_gaussian(rng, dim, dim)[np.newaxis], [ranks])[0]
 
 
 def random_ranks(dim: int, rng: np.random.Generator, degenerate: bool) -> list:
@@ -332,22 +325,17 @@ def _draw_model(rng: np.random.Generator, dim: int, force_zero: bool):
     g2 = _gaussian(rng, dim, dim)
     p_tilde = rng.dirichlet(np.ones(len(ranks2)))
     yield
-    fam1 = yield from _pvm(g1, ranks1)
+    fam1 = yield _pvms, g1, ranks1
     mixture = (weights / fam1.degeneracies)[:, None, None] * fam1.stack
     rho0 = yield qm.DensityOperator._stack, mixture.sum(axis=0)
     u = qm.Unitary((yield _haar, g_u))
-    fam2 = yield from _pvm(g2, ranks2)
+    fam2 = yield _pvms, g2, ranks2
     model = qm.build_sequential_model(rho0, fam1, u, fam2, p_tilde)
     if zero_idx.size:
         x = model.x.copy()
         x[zero_idx] = 0.0
         model = sm.with_x(model, x)
     return model, zero_idx.size > 0
-
-
-def _random_quantum_model(rng: np.random.Generator, dim: int, force_zero: bool):
-    """``(model, zeroed)`` of :func:`_draw_model`, drawn and built alone."""
-    return _built(_drawn(_draw_model, rng, dim, force_zero))
 
 
 def _require_valid(model: sm.SequentialModel) -> sm.SequentialModel:
@@ -365,7 +353,7 @@ def _drawn(draw, *args):
 
 
 def _build(builds: list) -> list:
-    """Run a chunk's builds side by side; each entry becomes its build's value or error.
+    """Run a batch's builds side by side; each entry becomes its build's value or error.
 
     A build yields requests ``(kind, array, *args)`` and is sent their results.
     Each round, the requests are grouped by kind and array shape, and one call
@@ -401,21 +389,16 @@ def _stacked(kind, requests: list) -> list:
         return [result for request in requests for result in _stacked(kind, [request])]
 
 
-def _built(build):
-    """The value of one build run alone; its error is raised."""
-    (value,) = _build([build])
+def _built(draw, *args):
+    """The instance ``draw(*args)`` builds alone; its error is raised."""
+    (value,) = _build([_drawn(draw, *args)])
     if isinstance(value, Exception):
         raise value
     return value
 
 
-def _generate(name: str, rng, config, trial):
-    """``(inputs, counters)`` of one trial of check ``name``: the build of its one draw."""
-    return _built(_drawn(CHECK_SPECS[name].draw, rng, config, trial))
-
-
 # ---------------------------------------------------------------------------
-# per-check generate / evaluate / serialize
+# per-check draw / evaluate / serialize
 # ---------------------------------------------------------------------------
 
 def _dims_for(name: str, config: ExperimentConfig) -> list:
@@ -467,8 +450,7 @@ def _draw_klein(rng, config, trial):
     g_rho = _gaussian(rng, dim, pick_rank())
     g_sigma = _gaussian(rng, dim, pick_rank())
     yield
-    rho = yield from _density(g_rho)
-    return {"rho": rho, "sigma": (yield from _density(g_sigma))}, {}
+    return {"rho": (yield _densities, g_rho), "sigma": (yield _densities, g_sigma)}, {}
 
 
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
@@ -488,8 +470,7 @@ def _draw_luders(rng, config, trial):
     ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
     g_v = _gaussian(rng, dim, dim)
     yield
-    rho = yield from _density(g_rho)
-    return {"rho": rho, "family": (yield from _pvm(g_v, ranks))}, {}
+    return {"rho": (yield _densities, g_rho), "family": (yield _pvms, g_v, ranks)}, {}
 
 
 def _luders_report_residuals(
@@ -553,9 +534,9 @@ def _draw_dilation(rng, config, trial):
     g_v = _gaussian(rng, dim, dim)
     phi = random_state_vector(dim, rng)
     yield
-    rho = yield from _density(g_rho)
+    rho = yield _densities, g_rho
     u_total = qm.Unitary((yield _haar, g_u))
-    family = yield from _pvm(g_v, ranks)
+    family = yield _pvms, g_v, ranks
     return {"rho": rho, "u_total": u_total, "ancilla_family": family, "phi": phi}, {}
 
 
@@ -728,11 +709,13 @@ class CheckSpec:
     rng_alias: str | None = None
     fixed: object | None = None
     fixed_tolerances: dict = field(default_factory=dict)
-    generate: object = None  # (rng, config, trial) -> (inputs, counters); None: one draw built
+    #: (rng, config, trial) -> (inputs, counters) of one trial built alone, by
+    #: default from ``draw``; the suite builds batches of draws and never calls it
+    generate: object = None
 
     def __post_init__(self):
         if self.generate is None:
-            object.__setattr__(self, "generate", functools.partial(_generate, self.name))
+            object.__setattr__(self, "generate", functools.partial(_built, self.draw))
 
 
 CHECK_SPECS = {
@@ -855,14 +838,19 @@ def _gates(pinned: dict, tol) -> dict:
     return {k: g if tol is None or k in _VERDICT_KEYS else float(tol) for k, g in pinned.items()}
 
 
+#: trials one build holds at d <= 8; at larger d, fewer in proportion to
+#: d**3, the size of a family stack, so a build's memory stays bounded
+_BUILD_TRIALS = 128
+
+
 def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
     """``(records, seconds)`` of a stream group's trials, each keyed by check name.
 
     The first check's ``draw`` consumes each trial's stream once, and one
-    :func:`_build` turns all the trials' draws into instances.  A check's
-    records are one ``(residuals, generated counters, failure bundle or
-    None)`` per trial, in order; its seconds are its time in the loop, the
-    draws and the build counted for the first check.  Worker processes run
+    :func:`_build` per batch of trials turns their draws into instances.  A
+    check's records are one ``(residuals, generated counters, failure bundle
+    or None)`` per trial, in order; its seconds are its time in the loop, the
+    draws and the builds counted for the first check.  Worker processes run
     the loop too, so it takes only picklable arguments.
     """
     first = CHECK_SPECS[names[0]]
@@ -871,19 +859,22 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
     records = {name: [] for name in names}
     seconds = dict.fromkeys(names, 0.0)
     started = time.perf_counter()
-    draws = []
-    for trial in trials:
-        try:
-            draws.append(_drawn(first.draw, trial_rng(config.seed, stream, trial), config, trial))
-        except (SeqMeasError, np.linalg.LinAlgError) as exc:
-            draws.append(exc)
-    for trial, instance in zip(trials, _build(draws)):
-        bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
-        for name in names:
-            record = _trial_record(name, gates[name], {"check": name, **bundle}, instance)
-            records[name].append(record)
-            seconds[name] += time.perf_counter() - started
-            started = time.perf_counter()
+    size = max(1, _BUILD_TRIALS * 8**3 // max(8, *config.dims) ** 3)
+    for batch in (trials[lo : lo + size] for lo in range(0, len(trials), size)):
+        draws = []
+        for trial in batch:
+            rng = trial_rng(config.seed, stream, trial)
+            try:
+                draws.append(_drawn(first.draw, rng, config, trial))
+            except (SeqMeasError, np.linalg.LinAlgError) as exc:
+                draws.append(exc)
+        for trial, instance in zip(batch, _build(draws)):
+            bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
+            for name in names:
+                record = _trial_record(name, gates[name], {"check": name, **bundle}, instance)
+                records[name].append(record)
+                seconds[name] += time.perf_counter() - started
+                started = time.perf_counter()
     return records, seconds
 
 

@@ -89,20 +89,21 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix, "density operator")
-        (spectrum,) = self._spectra(m[np.newaxis])
-        object.__setattr__(self, "matrix", _frozen(m))
-        object.__setattr__(self, "_spectrum", spectrum)
+        (checked,) = self._stack(m[np.newaxis])
+        object.__setattr__(self, "matrix", checked.matrix)
+        object.__setattr__(self, "_spectrum", checked.spectrum)
 
     def __reduce__(self):
         return type(self), (self.matrix,)
 
-    @staticmethod
-    def _spectra(ms: np.ndarray) -> np.ndarray:
-        """Read-only ``eigvalsh`` spectra of a ``(n, d, d)`` stack of finite matrices.
+    @classmethod
+    def _stack(cls, ms: np.ndarray) -> list:
+        """Density operators of a ``(n, d, d)`` stack, checked as one stack.
 
-        Each matrix is checked as a density operator; an error reports the
-        stack's worst residual, which is the matrix's own for a stack of one.
+        An error reports the stack's worst residual, the matrix's own for a stack of one.
         """
+        if not np.isfinite(ms).all():
+            raise InputError("density operator must have finite entries")
         herm = max_abs(ms - dagger(ms))
         if herm >= HERMITIAN_TOL:
             raise InvalidOperatorError("density operator is not Hermitian", "hermitian", herm)
@@ -116,15 +117,8 @@ class DensityOperator:
         if trace_dev >= TRACE_TOL:
             raise InvalidOperatorError("density operator trace is not one", "unit_trace", trace_dev)
         spectra.setflags(write=False)
-        return spectra
-
-    @classmethod
-    def _stack(cls, ms: np.ndarray) -> list:
-        """Density operators of a ``(n, d, d)`` stack, checked as one stack."""
-        if not np.isfinite(ms).all():
-            raise InputError("density operator must have finite entries")
         out = [object.__new__(cls) for _ in ms]
-        for rho, m, spectrum in zip(out, ms, cls._spectra(ms)):
+        for rho, m, spectrum in zip(out, ms, spectra):
             object.__setattr__(rho, "matrix", _frozen(m))
             object.__setattr__(rho, "_spectrum", spectrum)
         return out

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -611,8 +612,7 @@ class TestBatchedGeneration:
         records = _record_bits(hn._trial_records(names, config, trials)[0])
         for name in names:
             try:  # the trial alone: its draw built as a batch of one, then evaluated
-                inputs, _ = hn._built(hn._drawn(draw, hn.trial_rng(config.seed, stream, bad),
-                                                config, bad))
+                inputs, _ = hn._built(draw, hn.trial_rng(config.seed, stream, bad), config, bad)
                 hn.CHECK_SPECS[name].evaluate(**inputs)
                 expected = None
             except (SeqMeasError, np.linalg.LinAlgError) as exc:
@@ -622,6 +622,22 @@ class TestBatchedGeneration:
             assert failed["trial"] == bad and failed["error"] == expected
             assert records[name][:bad] == clean[name][:bad]
             assert records[name][bad + 1:] == clean[name][bad + 1:]
+
+    @pytest.mark.parametrize("name, n", [("jcheck", 8), ("luders", 4)])
+    def test_a_batch_at_d64_peaks_as_one_trial(self, name, n):
+        """A d = 64 family stack is 4 MiB, so a batch must not hold one for each trial."""
+        config = hn.ExperimentConfig(seed=3, dims=(64,), trials=8)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                hn._trial_records((name,), config, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = max(peak(range(t, t + 1)) for t in range(n))
+        assert peak(range(n)) < 1.1 * alone
 
 
 def _in_process_fingerprint(config) -> str:

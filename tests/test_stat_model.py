@@ -73,10 +73,10 @@ class TestConstructionAndValidation:
             sm.SequentialModel(pi=[1.0], x=[1.0], x_tilde=[1.0])
 
     def test_quantum_built_model_is_valid(self):
-        from seqmeas.harness import _random_quantum_model, trial_rng
+        from seqmeas.harness import _built, _draw_model, trial_rng
 
         for trial in range(25):
-            model, _ = _random_quantum_model(trial_rng(11, "jcheck", trial), 4, trial % 3 == 0)
+            model, _ = _built(_draw_model, trial_rng(11, "jcheck", trial), 4, trial % 3 == 0)
             assert sm.validate_model(model) == []
             # cross-check the two sums by direct summation
             forward = sum(
