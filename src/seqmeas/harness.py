@@ -709,12 +709,12 @@ class CheckSpec:
     rng_alias: str | None = None
     fixed: object | None = None
     fixed_tolerances: dict = field(default_factory=dict)
-    #: (rng, config, trial) -> (inputs, counters) of one trial built alone, by
-    #: default from ``draw``; the suite builds batches of draws and never calls it
+    #: (rng, config, trial) -> (inputs, counters) of one trial built alone, derived
+    #: from ``draw`` unless given; the suite builds batches of draws, never calling it
     generate: object = None
 
     def __post_init__(self):
-        if self.generate is None:
+        if self.generate is None or getattr(self.generate, "func", None) is _built:
             object.__setattr__(self, "generate", functools.partial(_built, self.draw))
 
 

@@ -586,6 +586,17 @@ class TestBatchedGeneration:
             for key in inputs:
                 assert _input_bits(inputs[key]) == _input_bits(alone[key]), (trial, key)
 
+    def test_generate_follows_a_replaced_draw(self):
+        spec = hn.CHECK_SPECS["klein"]
+
+        def draw(rng, config, trial):
+            raise InputError("synthetic draw failure")
+
+        replaced = dataclasses.replace(spec, draw=draw)
+        with pytest.raises(InputError, match="synthetic draw failure"):
+            replaced.generate(hn.trial_rng(1, "klein", 0), hn.ExperimentConfig(), 0)
+        assert dataclasses.replace(spec, generate=print).generate is print
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("names", STREAM_GROUPS, ids="-".join)
     def test_a_nan_block_fails_its_trial_alone(self, monkeypatch, names):
