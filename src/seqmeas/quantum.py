@@ -89,21 +89,19 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix, "density operator")
-        (checked,) = self._stack(m[np.newaxis])
-        object.__setattr__(self, "matrix", checked.matrix)
-        object.__setattr__(self, "_spectrum", checked.spectrum)
+        spectrum = self._spectra(m)
+        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "_spectrum", spectrum)
 
     def __reduce__(self):
         return type(self), (self.matrix,)
 
-    @classmethod
-    def _stack(cls, ms: np.ndarray) -> list:
-        """Density operators of a ``(n, d, d)`` stack, checked as one stack.
+    @staticmethod
+    def _spectra(ms: np.ndarray) -> np.ndarray:
+        """Read-only ``eigvalsh`` spectra of a finite matrix or stack, checked as density operators.
 
-        An error reports the stack's worst residual, the matrix's own for a stack of one.
+        An error reports the stack's worst residual, the matrix's own for one matrix.
         """
-        if not np.isfinite(ms).all():
-            raise InputError("density operator must have finite entries")
         herm = max_abs(ms - dagger(ms))
         if herm >= HERMITIAN_TOL:
             raise InvalidOperatorError("density operator is not Hermitian", "hermitian", herm)
@@ -113,12 +111,19 @@ class DensityOperator:
             raise InvalidOperatorError(
                 "density operator is not positive semidefinite", "positive", -min_eig
             )
-        trace_dev = float(np.abs(np.trace(ms, axis1=1, axis2=2).real - 1.0).max())
+        trace_dev = float(np.abs(np.trace(ms, axis1=-2, axis2=-1).real - 1.0).max())
         if trace_dev >= TRACE_TOL:
             raise InvalidOperatorError("density operator trace is not one", "unit_trace", trace_dev)
         spectra.setflags(write=False)
+        return spectra
+
+    @classmethod
+    def _stack(cls, ms: np.ndarray) -> list:
+        """Density operators of a ``(n, d, d)`` stack, checked as one stack."""
+        if not np.isfinite(ms).all():
+            raise InputError("density operator must have finite entries")
         out = [object.__new__(cls) for _ in ms]
-        for rho, m, spectrum in zip(out, ms, spectra):
+        for rho, m, spectrum in zip(out, ms, cls._spectra(ms)):
             object.__setattr__(rho, "matrix", _frozen(m))
             object.__setattr__(rho, "_spectrum", spectrum)
         return out
