@@ -232,7 +232,7 @@ def random_density(
         rank = dim
     if not 1 <= rank <= dim:
         raise InputError(f"rank must lie in [1, {dim}], got {rank}")
-    return _densities(_gaussian(rng, dim, rank)[np.newaxis])[0]
+    return qm.DensityOperator._stack(_gram(_gaussian(rng, dim, rank)[np.newaxis]))[0]
 
 
 def _gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -248,10 +248,15 @@ def _haar(gs: np.ndarray) -> np.ndarray:
     return q * phases[..., np.newaxis, :]
 
 
-def _densities(gs: np.ndarray) -> list:
-    """Density operators ``G G†/Tr(G G†)`` of a stack of Gaussian blocks, checked together."""
+def _gram(gs: np.ndarray) -> np.ndarray:
+    """``G G†/Tr(G G†)`` of each Gaussian block of a stack."""
     ms = gs @ qm.dagger(gs)
-    return qm.DensityOperator._stack(ms / np.trace(ms, axis1=1, axis2=2).real[:, None, None])
+    return ms / np.trace(ms, axis1=1, axis2=2).real[:, np.newaxis, np.newaxis]
+
+
+def _density(g):
+    """Build step: the density operator of a Gaussian block, checked with all others of its d."""
+    return (yield qm.DensityOperator._stack, (yield _gram, g))
 
 
 def _pvms(gs: np.ndarray, ranks) -> list:
@@ -450,7 +455,8 @@ def _draw_klein(rng, config, trial):
     g_rho = _gaussian(rng, dim, pick_rank())
     g_sigma = _gaussian(rng, dim, pick_rank())
     yield
-    return {"rho": (yield _densities, g_rho), "sigma": (yield _densities, g_sigma)}, {}
+    rho = yield from _density(g_rho)
+    return {"rho": rho, "sigma": (yield from _density(g_sigma))}, {}
 
 
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
@@ -470,7 +476,7 @@ def _draw_luders(rng, config, trial):
     ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
     g_v = _gaussian(rng, dim, dim)
     yield
-    return {"rho": (yield _densities, g_rho), "family": (yield _pvms, g_v, ranks)}, {}
+    return {"rho": (yield from _density(g_rho)), "family": (yield _pvms, g_v, ranks)}, {}
 
 
 def _luders_report_residuals(
@@ -534,7 +540,7 @@ def _draw_dilation(rng, config, trial):
     g_v = _gaussian(rng, dim, dim)
     phi = random_state_vector(dim, rng)
     yield
-    rho = yield _densities, g_rho
+    rho = yield from _density(g_rho)
     u_total = qm.Unitary((yield _haar, g_u))
     family = yield _pvms, g_v, ranks
     return {"rho": rho, "u_total": u_total, "ancilla_family": family, "phi": phi}, {}
@@ -840,7 +846,7 @@ def _gates(pinned: dict, tol) -> dict:
 
 #: trials one build holds at d <= 8; at larger d, fewer in proportion to
 #: d**3, the size of a family stack, so a build's memory stays bounded
-_BUILD_TRIALS = 128
+_BUILD_TRIALS = 256
 
 
 def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
