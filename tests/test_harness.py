@@ -586,6 +586,19 @@ class TestBatchedGeneration:
             for key in inputs:
                 assert _input_bits(inputs[key]) == _input_bits(alone[key]), (trial, key)
 
+    def test_densities_of_every_rank_share_one_check(self, monkeypatch):
+        """Klein's densities of one d are checked in one stack per round, whatever their ranks."""
+        config = hn.ExperimentConfig(seed=41, dims=(3,), trials=40)
+        spec = hn.CHECK_SPECS["klein"]
+        draws = [hn._drawn(spec.draw, hn.trial_rng(config.seed, "klein", t), config, t)
+                 for t in range(40)]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        built = hn._build(draws)
+        assert len({np.linalg.matrix_rank(inputs["rho"].matrix) for inputs, _ in built}) > 1
+        assert shapes == [(40, 3, 3), (40, 3, 3)]
+
     def test_generate_follows_a_replaced_draw(self):
         spec = hn.CHECK_SPECS["klein"]
 
