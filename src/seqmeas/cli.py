@@ -18,7 +18,6 @@ import numpy as np
 
 from . import entropy as ent
 from . import harness as hn
-from . import quantum as qm
 from . import stat_model as sm
 from .errors import SeqMeasError
 
@@ -174,8 +173,7 @@ def _run_counterexample(args) -> int:
     minimality = report.minimality
     if args.as_json:
         doc = {
-            "rho": qm.matrix_to_json(rho.matrix),
-            "sigma": qm.matrix_to_json(sigma.matrix),
+            **hn._serialize(rho=rho, sigma=sigma),
             "report": report.to_json(),
             "clusters": {
                 "eigenvalues": minimality.eigenvalues.tolist(),

@@ -31,12 +31,18 @@ BLAS pinned to one thread, unless only one CPU is available or it already
 runs inside a worker.  The fold is the same on both paths, so the report is
 the same bit for bit.  A group's wall time is split between its checks by
 their time in the loop, generation counted for the first check.
+
+A trial that misses a gate leaves a failure bundle.  One table, ``_CODECS``,
+gives each trial input (named by a parameter of a check's ``evaluate``) its
+bundle key and JSON form; :func:`replay_failure` reads exactly those keys
+back, and replays a failed fixed instance (trial -1) through ``spec.fixed``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import inspect
 import json
 import math
 import numbers
@@ -630,73 +636,55 @@ def evaluate_counterexample() -> dict:
 # serialisation of failure bundles
 # ---------------------------------------------------------------------------
 
-def _ser_model(model):
-    return {"model": sm.model_to_json(model)}
+def _beta_from_json(obj) -> float:
+    beta = sm.real_array(obj)
+    if beta is None or beta.shape != ():
+        raise InputError("beta must be a number")
+    return float(beta)
 
 
-def _des_model(obj):
-    return {"model": sm.model_from_json(obj["model"])}
+def _vector_from_json(obj) -> np.ndarray:
+    pairs = sm.real_array(obj)
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError("a vector must be a list of [re, im] pairs of numbers")
+    return pairs.view(complex)[:, 0]
 
 
-def _ser_pair(rho, sigma):
-    return {"rho": qm.matrix_to_json(rho.matrix), "sigma": qm.matrix_to_json(sigma.matrix)}
+def _operator_to_json(op) -> dict:
+    return qm.matrix_to_json(op.matrix)
 
 
-def _des_pair(obj):
-    return {
-        "rho": qm.density_from_json(obj["rho"]),
-        "sigma": qm.density_from_json(obj["sigma"]),
-    }
+def _projectors_to_json(family) -> list:
+    return [qm.matrix_to_json(p) for p in family.projectors]
 
 
-def _ser_state_family(rho, family):
-    return {
-        "rho": qm.matrix_to_json(rho.matrix),
-        "projectors": [qm.matrix_to_json(p) for p in family.projectors],
-    }
+#: each trial input's bundle key and its (to JSON, from JSON) pair
+_CODECS = {
+    "model": ("model", sm.model_to_json, sm.model_from_json),
+    "rho": ("rho", _operator_to_json, qm.density_from_json),
+    "sigma": ("sigma", _operator_to_json, qm.density_from_json),
+    "family": ("projectors", _projectors_to_json, qm.family_from_json),
+    "ancilla_family": ("ancilla_projectors", _projectors_to_json, qm.family_from_json),
+    "u": ("u", _operator_to_json, qm.unitary_from_json),
+    "u_total": ("u_total", _operator_to_json, qm.unitary_from_json),
+    "h0": ("h0", qm.matrix_to_json, qm.hermitian_from_json),
+    "h1": ("h1", qm.matrix_to_json, qm.hermitian_from_json),
+    "beta": ("beta", float, _beta_from_json),
+    "phi": ("phi", lambda v: [[float(z.real), float(z.imag)] for z in v], _vector_from_json),
+}
 
 
-def _des_state_family(obj):
-    return {
-        "rho": qm.density_from_json(obj["rho"]),
-        "family": qm.family_from_json(obj["projectors"]),
-    }
+def _serialize(**inputs) -> dict:
+    """The failure-bundle ``inputs`` of a trial: each input under its bundle key, as JSON."""
+    return {_CODECS[name][0]: _CODECS[name][1](value) for name, value in inputs.items()}
 
 
-def _ser_jarzynski(h0, h1, u, beta):
-    return {
-        "h0": qm.matrix_to_json(h0),
-        "h1": qm.matrix_to_json(h1),
-        "u": qm.matrix_to_json(u.matrix),
-        "beta": beta,
-    }
-
-
-def _des_jarzynski(obj):
-    return {
-        "h0": qm.hermitian_from_json(obj["h0"]),
-        "h1": qm.hermitian_from_json(obj["h1"]),
-        "u": qm.unitary_from_json(obj["u"]),
-        "beta": float(obj["beta"]),
-    }
-
-
-def _ser_dilation(rho, u_total, ancilla_family, phi):
-    return {
-        "rho": qm.matrix_to_json(rho.matrix),
-        "u_total": qm.matrix_to_json(u_total.matrix),
-        "ancilla_projectors": [qm.matrix_to_json(p) for p in ancilla_family.projectors],
-        "phi": [[float(z.real), float(z.imag)] for z in phi],
-    }
-
-
-def _des_dilation(obj):
-    return {
-        "rho": qm.density_from_json(obj["rho"]),
-        "u_total": qm.unitary_from_json(obj["u_total"]),
-        "ancilla_family": qm.family_from_json(obj["ancilla_projectors"]),
-        "phi": np.array([complex(re, im) for re, im in obj["phi"]]),
-    }
+def _deserialize(evaluate, obj) -> dict:
+    """The arguments of ``evaluate`` read from bundle ``inputs``, which must hold exactly their keys."""
+    keys = {_CODECS[name][0]: name for name in inspect.signature(evaluate).parameters}
+    if not isinstance(obj, dict) or obj.keys() != keys.keys():
+        raise InputError(f"bundle inputs must have exactly the keys {sorted(keys)}")
+    return {name: _CODECS[name][2](obj[key]) for key, name in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +697,11 @@ class CheckSpec:
     trial_fraction: float | None  # None: single fixed instance
     tolerances: dict
     draw: object  # (rng, config, trial) -> its stream's draws, a bare yield, then their build
-    evaluate: object
-    serialize: object
-    deserialize: object
+    evaluate: object  # (**inputs) -> residuals; its parameter names key the bundle codec
     rng_alias: str | None = None
     fixed: object | None = None
     fixed_tolerances: dict = field(default_factory=dict)
+    serialize: object = _serialize  # (**inputs) -> a failure bundle's JSON inputs
     #: (rng, config, trial) -> (inputs, counters) of one trial built alone, derived
     #: from ``draw`` unless given; the suite builds batches of draws, never calling it
     generate: object = None
@@ -731,8 +718,6 @@ CHECK_SPECS = {
         tolerances={"j_residual": 1e-9, "j_reverse_residual": 1e-9},
         draw=_draw_jcheck,
         evaluate=evaluate_jcheck,
-        serialize=_ser_model,
-        deserialize=_des_model,
     ),
     "chain": CheckSpec(
         name="chain",
@@ -744,8 +729,6 @@ CHECK_SPECS = {
         },
         draw=_draw_jcheck,
         evaluate=evaluate_chain,
-        serialize=_ser_model,
-        deserialize=_des_model,
         rng_alias="jcheck",
     ),
     "klein": CheckSpec(
@@ -754,8 +737,6 @@ CHECK_SPECS = {
         tolerances={"klein_violation": 1e-10, "self_rel_entropy": 1e-12},
         draw=_draw_klein,
         evaluate=evaluate_klein,
-        serialize=_ser_pair,
-        deserialize=_des_pair,
     ),
     "luders": CheckSpec(
         name="luders",
@@ -768,8 +749,6 @@ CHECK_SPECS = {
         },
         draw=_draw_luders,
         evaluate=evaluate_luders,
-        serialize=_ser_state_family,
-        deserialize=_des_state_family,
     ),
     "minimal": CheckSpec(
         name="minimal",
@@ -782,8 +761,6 @@ CHECK_SPECS = {
         },
         draw=_draw_luders,
         evaluate=evaluate_minimal,
-        serialize=_ser_state_family,
-        deserialize=_des_state_family,
     ),
     "jarzynski": CheckSpec(
         name="jarzynski",
@@ -791,8 +768,6 @@ CHECK_SPECS = {
         tolerances={"jarzynski_gap": 1e-9},
         draw=_draw_jarzynski,
         evaluate=evaluate_jarzynski,
-        serialize=_ser_jarzynski,
-        deserialize=_des_jarzynski,
     ),
     "dilation": CheckSpec(
         name="dilation",
@@ -800,8 +775,6 @@ CHECK_SPECS = {
         tolerances={"s1_exceeds_s2": 1e-9, "s2_exceeds_s3": 1e-9},
         draw=_draw_dilation,
         evaluate=evaluate_dilation,
-        serialize=_ser_dilation,
-        deserialize=_des_dilation,
         fixed=_swap_reset_extras,
         fixed_tolerances={
             "swap_sigma_dev": 1e-12,
@@ -826,8 +799,6 @@ CHECK_SPECS = {
         },
         draw=_draw_counterexample,
         evaluate=evaluate_counterexample,
-        serialize=lambda: {},
-        deserialize=lambda obj: {},
     ),
 }
 
@@ -1042,16 +1013,21 @@ def run_suite(config: ExperimentConfig) -> ExperimentReport:
 
 
 def replay_failure(bundle: dict) -> dict:
-    """Re-run a serialized failure bundle; returns the recomputed residuals."""
+    """Re-run a serialized failure bundle; returns the recomputed residuals.
+
+    A bundle of trial -1 records a failed fixed instance and re-runs ``spec.fixed``.
+    """
     if not isinstance(bundle, dict) or "check" not in bundle or "inputs" not in bundle:
         raise InputError('failure bundle needs keys "check" and "inputs"')
     name = bundle["check"]
-    if name not in CHECK_SPECS:
+    if not isinstance(name, str) or name not in CHECK_SPECS:
         raise InputError(f"unknown check {name!r}")
     if bundle.get("error") and not bundle["inputs"]:
         raise InputError(
             "bundle records a generation error; regenerate from its seed_derivation"
         )
     spec = CHECK_SPECS[name]
-    inputs = spec.deserialize(bundle["inputs"])
-    return spec.evaluate(**inputs)
+    evaluate = spec.fixed if bundle.get("trial") == -1 else spec.evaluate
+    if evaluate is None:
+        raise InputError(f"check {name!r} has no fixed instance")
+    return evaluate(**_deserialize(evaluate, bundle["inputs"]))

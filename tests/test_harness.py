@@ -254,17 +254,29 @@ class TestRunCheck:
         for key, value in replayed.items():
             assert value == outcome.failures[0]["residuals"][key]
 
-    def test_replay_every_check_kind(self):
-        config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=4, tol=1e-300)
+    def test_replay_every_check_kind(self, monkeypatch):
+        spec = hn.CHECK_SPECS["dilation"]
+
+        def failing_fixed():
+            return {**spec.fixed(), "swap_sigma_dev": 1.0}
+
+        # a failing fixed instance writes a trial -1 bundle, replayed through ``fixed``
+        monkeypatch.setitem(
+            hn.CHECK_SPECS, "dilation", dataclasses.replace(spec, fixed=failing_fixed)
+        )
+        config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=20, tol=1e-300)
+        replayed_trials = {}
         for name in hn.CHECK_ORDER:
-            outcome = hn.run_check(name, config)
-            real_failures = [f for f in outcome.failures if f["trial"] >= 0]
-            if not real_failures:
-                continue
-            bundle = json.loads(json.dumps(real_failures[0]))
-            replayed = hn.replay_failure(bundle)
-            for key, value in replayed.items():
-                assert value == real_failures[0]["residuals"][key], (name, key)
+            for failure in hn.run_check(name, config).failures:
+                replayed = hn.replay_failure(json.loads(json.dumps(failure)))
+                assert {k: hn._json_float(v) for k, v in replayed.items()} == failure["residuals"]
+                replayed_trials.setdefault(name, []).append(failure["trial"])
+        assert set(replayed_trials) == set(hn.CHECK_ORDER)
+        assert replayed_trials["dilation"] == [5, -1]
+
+    def test_fixed_bundle_of_a_check_without_one_is_refused(self):
+        with pytest.raises(InputError, match="no fixed instance"):
+            hn.replay_failure({"check": "klein", "trial": -1, "inputs": {}})
 
     def test_nan_residual_is_the_maximum(self, monkeypatch, capsys):
         import dataclasses
@@ -386,6 +398,39 @@ class TestRunCheck:
             hn.replay_failure({"inputs": {}})
         with pytest.raises(InputError):
             hn.replay_failure({"check": "nope", "inputs": {}})
+
+    @pytest.fixture(scope="class")
+    def bundles(self):
+        """The first failure bundle of klein, jarzynski and dilation, as JSON text."""
+        config = hn.ExperimentConfig(seed=5, dims=(2,), trials=10, tol=1e-300)
+        names = ("klein", "jarzynski", "dilation")
+        return {name: json.dumps(hn.run_check(name, config).failures[0]) for name in names}
+
+    @pytest.mark.parametrize(
+        "name, tamper",
+        [
+            ("klein", lambda b: b["inputs"].pop("sigma")),
+            ("klein", lambda b: b["inputs"].update(extra=1)),
+            ("klein", lambda b: b.update(inputs="x")),
+            ("klein", lambda b: b.update(check=["klein"])),
+            ("jarzynski", lambda b: b["inputs"].update(beta="10")),
+            ("jarzynski", lambda b: b["inputs"].update(beta=True)),
+            ("jarzynski", lambda b: b["inputs"].update(beta=[10.0])),
+            ("dilation", lambda b: b["inputs"].update(phi=[["ab"], [0.0, 0.0]])),
+            ("dilation", lambda b: b["inputs"].update(phi=[[True, False], [False, False]])),
+            ("dilation", lambda b: b["inputs"].update(phi=[1.0, 0.0])),
+        ],
+        ids=[
+            "missing-key", "extra-key", "inputs-not-object", "check-unhashable",
+            "beta-string", "beta-bool", "beta-list", "phi-string", "phi-bools", "phi-flat",
+        ],
+    )
+    def test_replay_refuses_malformed_inputs(self, bundles, name, tamper):
+        bundle = json.loads(bundles[name])
+        hn.replay_failure(json.loads(bundles[name]))  # the untouched bundle replays
+        tamper(bundle)
+        with pytest.raises(InputError):
+            hn.replay_failure(bundle)
 
     def test_broken_instance_aborts_trial_not_run(self, monkeypatch):
         import dataclasses
@@ -690,6 +735,24 @@ def test_fingerprint_is_pinned():
     assert _in_process_fingerprint(config) == PINNED_FINGERPRINT, (
         f"the report's last bits moved (numpy {np.__version__}, BLAS {_blas_build()}); "
         "a kernel change or another numpy/BLAS build computes different floats"
+    )
+
+
+#: SHA-256 of the failure bundles below; any change to the bundle format moves it.
+PINNED_BUNDLES = "ce514b20d219f5f781efeacf14ec5da8f6bf5236566563b32d895a36788eb986"
+
+
+def test_failure_bundles_are_pinned():
+    # 86 bundles covering every check and every trial-input kind
+    config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=20, tol=1e-300)
+    failures = [f for name in hn.CHECK_ORDER for f in hn.run_check(name, config).failures]
+    assert {f["check"] for f in failures} == set(hn.CHECK_ORDER)
+    assert {k for f in failures for k in f["inputs"]} == {
+        "model", "rho", "sigma", "projectors", "ancilla_projectors",
+        "u", "u_total", "h0", "h1", "beta", "phi",
+    }
+    assert _sha256(json.dumps(failures, sort_keys=True)) == PINNED_BUNDLES, (
+        f"the failure bundles' bytes moved (numpy {np.__version__}, BLAS {_blas_build()})"
     )
 
 
