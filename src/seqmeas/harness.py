@@ -106,9 +106,14 @@ class ExperimentConfig:
             if not isinstance(getattr(self, key), (list, tuple, np.ndarray)):
                 raise ConfigError(f"{key} must be a list")
         # bools are ints to Python; int() would truncate 2.7 and float() read "1"
-        if not all(_is_integral(d) or isinstance(d, float) and d.is_integer() for d in self.dims):
+        if not len(self.dims) or not all(
+            (_is_integral(d) or isinstance(d, float) and d.is_integer()) and 1 <= d <= 64
+            for d in self.dims
+        ):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
-        if not all(_is_real(b) for b in self.beta_values):
+        if not len(self.beta_values) or not all(
+            _is_real(b) and 0 < b < math.inf for b in self.beta_values
+        ):
             raise ConfigError("beta_values must be positive and finite")
         if not _is_integral(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
@@ -119,13 +124,9 @@ class ExperimentConfig:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
         object.__setattr__(self, "check_set", tuple(str(c) for c in self.check_set))
-        if not self.dims or any(d < 1 or d > 64 for d in self.dims):
-            raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
         # an inf gate would pass the inf markers of undefined identities
         if self.tol is not None and not (_is_real(self.tol) and 0 < self.tol < math.inf):
             raise ConfigError("tol must be positive and finite when given")
-        if not self.beta_values or any(not (b > 0 and math.isfinite(b)) for b in self.beta_values):
-            raise ConfigError("beta_values must be positive and finite")
         unknown = set(self.check_set) - set(CHECK_ORDER)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -593,34 +594,24 @@ def _draw_counterexample(rng, config, trial):
     return {}, {}
 
 
-#: reference values are stated in cluster order (3/16, 1/16, 9/16)
-_CE_DISPLAY_EIGENVALUES = (3.0 / 16.0, 1.0 / 16.0, 9.0 / 16.0)
-_CE_EXPECTED_Q = (0.0, 0.25, 0.75)
-_CE_EXPECTED_P_TILDE = (3.0 / 8.0, 1.0 / 16.0, 9.0 / 16.0)
+#: sigma's clusters in ascending order: eigenvalue, degeneracy, Tr(rho Q), Tr(sigma Q)
+_CE_CLUSTERS = (
+    (1.0 / 16.0, 1, 0.25, 1.0 / 16.0),
+    (3.0 / 16.0, 2, 0.0, 3.0 / 8.0),
+    (9.0 / 16.0, 1, 0.75, 9.0 / 16.0),
+)
 
 
 def evaluate_counterexample() -> dict:
     report = ent.entropy_report(*ent.counterexample_pair())
     minimality = report.minimality
-    expected = [(1.0 / 16.0, 1), (3.0 / 16.0, 2), (9.0 / 16.0, 1)]
-    if len(minimality.eigenvalues) != len(expected):
-        cluster_dev = math.inf
+    eigenvalues, degeneracies, q, p_tilde = np.array(_CE_CLUSTERS).T
+    if minimality.degeneracies.tolist() != degeneracies.tolist():  # also a count mismatch
+        cluster_dev = q_dev = p_tilde_dev = math.inf
     else:
-        cluster_dev = 0.0
-        for (ev, deg), got_ev, got_deg in zip(
-            expected, minimality.eigenvalues, minimality.degeneracies
-        ):
-            cluster_dev = max(cluster_dev, abs(got_ev - ev))
-            if int(got_deg) != deg:
-                cluster_dev = math.inf
-    q_dev = 0.0
-    p_tilde_dev = 0.0
-    for ev, q_exp, pt_exp in zip(
-        _CE_DISPLAY_EIGENVALUES, _CE_EXPECTED_Q, _CE_EXPECTED_P_TILDE
-    ):
-        k = int(np.argmin(np.abs(minimality.eigenvalues - ev)))
-        q_dev = max(q_dev, abs(minimality.q[k] - q_exp))
-        p_tilde_dev = max(p_tilde_dev, abs(minimality.p_tilde[k] - pt_exp))
+        cluster_dev = float(np.abs(minimality.eigenvalues - eigenvalues).max())
+        q_dev = float(np.abs(minimality.q - q).max())
+        p_tilde_dev = float(np.abs(minimality.p_tilde - p_tilde).max())
     return {
         "sigma_cluster_dev": cluster_dev,
         "s_rho": report.s_rho,
@@ -643,13 +634,6 @@ def _beta_from_json(obj) -> float:
     return float(beta)
 
 
-def _vector_from_json(obj) -> np.ndarray:
-    pairs = sm.real_array(obj)
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InputError("a vector must be a list of [re, im] pairs of numbers")
-    return pairs.view(complex)[:, 0]
-
-
 def _operator_to_json(op) -> dict:
     return qm.matrix_to_json(op.matrix)
 
@@ -670,7 +654,7 @@ _CODECS = {
     "h0": ("h0", qm.matrix_to_json, qm.hermitian_from_json),
     "h1": ("h1", qm.matrix_to_json, qm.hermitian_from_json),
     "beta": ("beta", float, _beta_from_json),
-    "phi": ("phi", lambda v: [[float(z.real), float(z.imag)] for z in v], _vector_from_json),
+    "phi": ("phi", qm.pairs_to_json, functools.partial(qm.pairs_from_json, ndim=1)),
 }
 
 
@@ -682,8 +666,7 @@ def _serialize(**inputs) -> dict:
 def _deserialize(evaluate, obj) -> dict:
     """The arguments of ``evaluate`` read from bundle ``inputs``, which must hold exactly their keys."""
     keys = {_CODECS[name][0]: name for name in inspect.signature(evaluate).parameters}
-    if not isinstance(obj, dict) or obj.keys() != keys.keys():
-        raise InputError(f"bundle inputs must have exactly the keys {sorted(keys)}")
+    sm.exact_keys(obj, keys, "bundle inputs")
     return {name: _CODECS[name][2](obj[key]) for key, name in keys.items()}
 
 

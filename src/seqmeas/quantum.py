@@ -9,11 +9,11 @@ Public constructors (and so JSON loading and unpickling) validate every
 axiom; families built from orthonormal columns are checked once, through
 ``V†V = I``.  Trial generation validates densities and column families a
 stack at a time, bit for bit as one at a time, and forms an all-rank-one
-family's projectors in one batched ``(d, 1) @ (1, d)`` product.  A family
-holds its projectors as one read-only ``(k, d, d)`` stack, and the Born,
-overlap and Lueders kernels are batched matmuls over it.  A
-:class:`DensityOperator` keeps the spectrum its positivity check computes,
-so its entropy needs no second decomposition.
+family's projectors in one batched ``(d, 1) @ (1, d)`` product.
+``ProjectorFamily(projectors)`` keeps its projectors as one read-only
+``(k, d, d)`` array, ``stack``, and their ranks as ``degeneracies``; the
+Born, overlap and Lueders kernels are batched matmuls over ``stack``.  A
+DensityOperator keeps the ``spectrum`` its positivity check computes.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
@@ -36,7 +36,7 @@ from .errors import (
     InvalidOperatorError,
     ShapeError,
 )
-from .stat_model import SequentialModel, real_array
+from .stat_model import SequentialModel, exact_keys, real_array
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -83,7 +83,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace complex matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix with its ascending ``spectrum``."""
 
     matrix: np.ndarray
 
@@ -91,7 +91,7 @@ class DensityOperator:
         m = _as_square_complex(self.matrix, "density operator")
         spectrum = self._spectra(m)
         object.__setattr__(self, "matrix", _frozen(m))
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def __reduce__(self):
         return type(self), (self.matrix,)
@@ -125,17 +125,12 @@ class DensityOperator:
         out = [object.__new__(cls) for _ in ms]
         for rho, m, spectrum in zip(out, ms, cls._spectra(ms)):
             object.__setattr__(rho, "matrix", _frozen(m))
-            object.__setattr__(rho, "_spectrum", spectrum)
+            object.__setattr__(rho, "spectrum", spectrum)
         return out
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, as ``eigvalsh`` gave them to the positivity check."""
-        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -165,13 +160,12 @@ def identity_unitary(dim: int) -> Unitary:
 class ProjectorFamily:
     """Complete family of mutually orthogonal projectors (a PVM).
 
-    ``labels`` are the outcome indices, defaulting to 0..n-1 in the order
-    supplied; no sorting happens inside the family.  ``projectors`` are
-    read-only views into ``stack``, the one ``(k, d, d)`` copy of them.
+    Outcome ``k`` is ``projectors[k]``, in the order supplied.  The
+    ``projectors`` are read-only views into ``stack``, the one ``(k, d, d)``
+    copy of them, and ``degeneracies`` holds their ranks.
     """
 
     projectors: tuple
-    labels: tuple = ()
 
     def __post_init__(self):
         projs = tuple(_as_square_complex(p, "projector") for p in self.projectors)
@@ -180,9 +174,6 @@ class ProjectorFamily:
         dim = projs[0].shape[0]
         if any(p.shape[0] != dim for p in projs):
             raise ShapeError("all projectors must share one dimension")
-        labels = tuple(self.labels) if self.labels else tuple(range(len(projs)))
-        if len(labels) != len(projs):
-            raise ShapeError("labels must match the number of projectors")
         for k, p in enumerate(projs):
             idem = max_abs(p @ p - p)
             if idem >= PROJECTOR_TOL:
@@ -214,17 +205,16 @@ class ProjectorFamily:
                     f"projector {k} has non-integer rank", "integer_degeneracy", abs(t - round(t))
                 )
             degs.append(int(round(t)))
-        self._hold(np.stack(projs), degs, labels)
+        self._hold(np.stack(projs), degs)
 
-    def _hold(self, stack: np.ndarray, degeneracies, labels) -> None:
+    def _hold(self, stack: np.ndarray, degeneracies) -> None:
         stack.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "projectors", tuple(stack))
-        object.__setattr__(self, "_degeneracies", np.array(degeneracies, dtype=int))
+        object.__setattr__(self, "degeneracies", np.array(degeneracies, dtype=int))
 
     def __reduce__(self):
-        return type(self), (self.projectors, self.labels)
+        return type(self), (self.projectors,)
 
     @classmethod
     def _from_columns(cls, v: np.ndarray, widths) -> "ProjectorFamily":
@@ -258,7 +248,7 @@ class ProjectorFamily:
                     block = v[:, stop - width : stop]
                     np.matmul(block, dagger(block), out=p)
             out.append(object.__new__(cls))
-            out[-1]._hold(0.5 * (stack + dagger(stack)), w, tuple(range(len(w))))
+            out[-1]._hold(0.5 * (stack + dagger(stack)), w)
         return out
 
     def __len__(self) -> int:
@@ -266,15 +256,7 @@ class ProjectorFamily:
 
     @property
     def dim(self) -> int:
-        return self._stack.shape[1]
-
-    @property
-    def stack(self) -> np.ndarray:
-        return self._stack
-
-    @property
-    def degeneracies(self) -> np.ndarray:
-        return self._degeneracies
+        return self.stack.shape[1]
 
 
 @dataclass(frozen=True)
@@ -620,24 +602,33 @@ def dilation_analysis(
 # JSON wire format: {"dim": n, "entries": [[[re, im], ...], ...]} row-major
 # ---------------------------------------------------------------------------
 
+def pairs_to_json(a) -> list:
+    """A complex array as nested lists of ``[re, im]`` pairs."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def pairs_from_json(obj, ndim: int) -> np.ndarray:
+    """The ``ndim``-dimensional complex array that ``obj`` holds as ``[re, im]`` pairs."""
+    pairs = real_array(obj)
+    if pairs is None or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise InputError(f"expected a {ndim}-d array of [re, im] pairs of numbers")
+    return pairs.view(complex)[..., 0]
+
+
 def matrix_to_json(a) -> dict:
     m = _as_square_complex(a, "matrix")
-    entries = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    return {"dim": m.shape[0], "entries": entries}
+    return {"dim": m.shape[0], "entries": pairs_to_json(m)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise InputError('complex matrix document needs keys "dim" and "entries"')
+    exact_keys(obj, ("dim", "entries"), "complex matrix document")
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
         raise InputError(f'matrix "dim" must be an integer, got {dim!r}')
-    pairs = real_array(obj["entries"])
-    if pairs is not None and pairs.shape[:2] != (dim, dim):
+    m = pairs_from_json(obj["entries"], 2)
+    if m.shape != (dim, dim):
         raise ShapeError(f"entries do not form a {dim}x{dim} matrix")
-    if pairs is None or pairs.shape != (dim, dim, 2):
-        raise InputError("matrix entries must be [re, im] pairs of numbers")
-    return pairs.view(complex)[..., 0]
+    return m
 
 
 def density_from_json(obj: dict) -> DensityOperator:
@@ -657,4 +648,6 @@ def hermitian_from_json(obj: dict) -> np.ndarray:
 
 
 def family_from_json(objs) -> ProjectorFamily:
+    if not isinstance(objs, list):
+        raise InputError("projectors must be a list of matrix documents")
     return ProjectorFamily(tuple(matrix_from_json(o) for o in objs))

@@ -296,13 +296,15 @@ def real_array(value) -> np.ndarray | None:
         return None
 
 
+def exact_keys(obj, keys, what: str) -> None:
+    """Raise InputError unless ``obj`` is a JSON object with exactly the ``keys``."""
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        raise InputError(f"{what} must be an object with exactly the keys {sorted(keys)}")
+
+
 def model_from_json(obj: dict) -> SequentialModel:
-    if not isinstance(obj, dict):
-        raise InputError("model document must be a JSON object")
-    missing = {"pi", "x", "x_tilde"} - obj.keys()
-    if missing:
-        raise InputError(f"model document lacks keys: {sorted(missing)}")
-    arrays = {key: real_array(obj[key]) for key in ("pi", "x", "x_tilde")}
+    exact_keys(obj, ("pi", "x", "x_tilde"), "model document")
+    arrays = {key: real_array(value) for key, value in obj.items()}
     non_numeric = sorted(key for key, arr in arrays.items() if arr is None)
     if non_numeric:
         raise InputError(f"model document entries are not numeric: {non_numeric}")

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import math
 
@@ -30,6 +31,13 @@ class TestCounterexample:
         assert doc["report"]["s_sigma"] == pytest.approx(1.1246702892376166, abs=1e-12)
         assert doc["rho"]["dim"] == 4
         assert doc["clusters"]["q"] == pytest.approx([0.25, 0.0, 0.75], abs=1e-12)
+
+    def test_json_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "counterexample", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dff04ccac7f1422ae1ebb0fe1eb9a9a671042390f188364d45de02b11c22d3f1"
+        )
 
     def test_bits_display(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--bits")
@@ -73,6 +81,14 @@ class TestModelFile:
         code, out, _ = run_cli(capsys, "jcheck", "--model", str(path))
         assert code == 1
         assert "forward_normalisation" in out
+
+    def test_misspelt_key(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        doc = {"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5], "x_tilda": [0.5]}
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "jcheck", "--model", str(path))
+        assert code == 2
+        assert "exactly the keys" in err
 
     def test_garbage_file(self, capsys, tmp_path):
         path = tmp_path / "model.json"

@@ -87,7 +87,6 @@ class TestRandomPvm:
             ref = qm.ProjectorFamily(tuple(projectors))
             for got, want in zip(fam.projectors, ref.projectors, strict=True):
                 assert np.array_equal(got, want)
-            assert fam.labels == ref.labels
             assert np.array_equal(fam.degeneracies, ref.degeneracies)
 
     def test_builds_no_unitary(self, monkeypatch):
@@ -235,6 +234,18 @@ class TestRunCheck:
                                                                check_set=("counterexample",)))
         assert a.trials == b.trials == 1
         assert a.residual_maxima == b.residual_maxima
+
+    def test_mis_clustered_counterexample_fails_every_cluster_residual(self, monkeypatch):
+        import seqmeas.entropy as ent
+
+        rho, _ = ent.counterexample_pair()
+        sigma = qm.DensityOperator(np.diag([1.0, 2.0, 3.0, 10.0]) / 16.0)
+        monkeypatch.setattr(ent, "counterexample_pair", lambda: (rho, sigma))
+        config = hn.ExperimentConfig(seed=0, trials=1, check_set=("counterexample",))
+        outcome = hn.run_check("counterexample", config)
+        assert not outcome.passed
+        for key in ("sigma_cluster_dev", "q_dev", "p_tilde_dev"):
+            assert outcome.residual_maxima[key] == math.inf, key
 
     def test_tol_override_forces_failures(self):
         config = hn.ExperimentConfig(seed=3, dims=(2, 3), trials=5, tol=1e-300,
@@ -401,9 +412,9 @@ class TestRunCheck:
 
     @pytest.fixture(scope="class")
     def bundles(self):
-        """The first failure bundle of klein, jarzynski and dilation, as JSON text."""
+        """The first failure bundle of klein, jarzynski, dilation and luders, as JSON text."""
         config = hn.ExperimentConfig(seed=5, dims=(2,), trials=10, tol=1e-300)
-        names = ("klein", "jarzynski", "dilation")
+        names = ("klein", "jarzynski", "dilation", "luders")
         return {name: json.dumps(hn.run_check(name, config).failures[0]) for name in names}
 
     @pytest.mark.parametrize(
@@ -419,10 +430,17 @@ class TestRunCheck:
             ("dilation", lambda b: b["inputs"].update(phi=[["ab"], [0.0, 0.0]])),
             ("dilation", lambda b: b["inputs"].update(phi=[[True, False], [False, False]])),
             ("dilation", lambda b: b["inputs"].update(phi=[1.0, 0.0])),
+            ("klein", lambda b: b["inputs"]["rho"].update(junk=2)),
+            ("luders", lambda b: b["inputs"].update(projectors=5)),
+            ("luders", lambda b: b["inputs"].update(projectors=None)),
+            ("luders", lambda b: b["inputs"].update(projectors="ab")),
+            ("luders", lambda b: b["inputs"].update(projectors=b["inputs"]["rho"])),
         ],
         ids=[
             "missing-key", "extra-key", "inputs-not-object", "check-unhashable",
             "beta-string", "beta-bool", "beta-list", "phi-string", "phi-bools", "phi-flat",
+            "matrix-extra-key", "projectors-number", "projectors-null", "projectors-string",
+            "projectors-one-matrix",
         ],
     )
     def test_replay_refuses_malformed_inputs(self, bundles, name, tamper):
@@ -585,7 +603,7 @@ def _input_bits(value):
         return _input_bits(value.matrix), _input_bits(value.spectrum)
     if isinstance(value, qm.ProjectorFamily):
         projectors = [_input_bits(p) for p in value.projectors]
-        return _input_bits(value.stack), projectors, _input_bits(value.degeneracies), value.labels
+        return _input_bits(value.stack), projectors, _input_bits(value.degeneracies)
     if isinstance(value, qm.Unitary):
         return _input_bits(value.matrix)
     if isinstance(value, sm.SequentialModel):

@@ -296,6 +296,10 @@ class TestJson:
         with pytest.raises(InputError):
             sm.model_from_json({"pi": [[1.0]], "x": [1.0]})
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InputError):
+            sm.model_from_json({"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5], "junk": 1})
+
     def test_non_numeric(self):
         with pytest.raises(InputError):
             sm.model_from_json({"pi": [["a"]], "x": [1.0], "x_tilde": [1.0]})
