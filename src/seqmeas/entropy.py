@@ -224,7 +224,7 @@ def entropy_report(rho: DensityOperator, sigma: DensityOperator) -> EntropyRepor
     rel, near_boundary = _relative_entropy_parts(sd_r, sd_s)
     minimality = _minimality(rho, sigma, sd_s)
     residuals = {
-        "klein": 0.0 if math.isinf(rel) else max(-rel, 0.0),
+        "klein": _klein(rel).residual,
         "max_minimality_deviation": float(minimality.residuals.max()),
     }
     if not math.isinf(rel):

@@ -20,9 +20,9 @@ trials are batched never changes a report.
 
 Dispatch: checks that share a trial stream form a group.  One loop,
 ``_trial_records``, draws each trial of a group once, builds the draws in
-batches of bounded size and turns each instance into one record per check
-(residuals, generated counters, failure bundle or None); ``_outcome`` folds
-a check's records in trial order into its maxima, counters and failures.
+batches of bounded size and makes one record per check and trial with
+``_trial_record`` (residuals, counters, failure bundle or None).
+``_outcome`` adds a check's fixed instance as trial -1 and folds its records.
 ``_run_group`` runs the loop over a group's trials in contiguous chunks,
 four per worker, in this process or in worker processes; :func:`run_check`
 is a one-check group in process.
@@ -35,7 +35,7 @@ their time in the loop, generation counted for the first check.
 A trial that misses a gate leaves a failure bundle.  One table, ``_CODECS``,
 gives each trial input (named by a parameter of a check's ``evaluate``) its
 bundle key and JSON form; :func:`replay_failure` reads exactly those keys
-back, and replays a failed fixed instance (trial -1) through ``spec.fixed``.
+back and re-runs its trial; a trial -1 bundle re-runs ``spec.fixed``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,9 +111,7 @@ class ExperimentConfig:
             for d in self.dims
         ):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
-        if not len(self.beta_values) or not all(
-            _is_real(b) and 0 < b < math.inf for b in self.beta_values
-        ):
+        if not len(self.beta_values) or not _positive_finite(self.beta_values, 1):
             raise ConfigError("beta_values must be positive and finite")
         if not _is_integral(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
@@ -125,7 +123,7 @@ class ExperimentConfig:
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
         object.__setattr__(self, "check_set", tuple(str(c) for c in self.check_set))
         # an inf gate would pass the inf markers of undefined identities
-        if self.tol is not None and not (_is_real(self.tol) and 0 < self.tol < math.inf):
+        if self.tol is not None and not _positive_finite(self.tol, 0):
             raise ConfigError("tol must be positive and finite when given")
         unknown = set(self.check_set) - set(CHECK_ORDER)
         if unknown:
@@ -158,8 +156,9 @@ def _is_integral(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _positive_finite(values, ndim: int) -> bool:
+    arr = sm.real_array(values)  # None for a bool, a string or an integer beyond the float range
+    return arr is not None and arr.ndim == ndim and bool(((0 < arr) & (arr < math.inf)).all())
 
 
 def acceptance_config() -> ExperimentConfig:
@@ -413,18 +412,8 @@ def _built(draw, *args):
 # per-check draw / evaluate / serialize
 # ---------------------------------------------------------------------------
 
-def _dims_for(name: str, config: ExperimentConfig) -> list:
-    if name == "jarzynski":
-        filtered = [d for d in config.dims if 2 <= d <= 6]
-        return filtered or [2]
-    if name == "dilation":
-        filtered = [d for d in config.dims if d in (2, 3)]
-        return filtered or [2]
-    return list(config.dims)
-
-
 def _draw_jcheck(rng, config, trial):
-    dim = int(rng.choice(_dims_for("jcheck", config)))
+    dim = int(rng.choice(config.dims))
     model = _drawn(_draw_model, rng, dim, trial % 5 == 0 and dim >= 2)
     yield
     model, zeroed = yield from model
@@ -456,7 +445,7 @@ def evaluate_chain(model: sm.SequentialModel) -> dict:
 
 
 def _draw_klein(rng, config, trial):
-    dim = int(rng.choice(_dims_for("klein", config)))
+    dim = int(rng.choice(config.dims))
     def pick_rank():
         return dim if rng.random() < 0.7 else int(rng.integers(1, dim + 1))
     g_rho = _gaussian(rng, dim, pick_rank())
@@ -477,7 +466,7 @@ def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
 
 
 def _draw_luders(rng, config, trial):
-    dim = int(rng.choice(_dims_for("luders", config)))
+    dim = int(rng.choice(config.dims))
     rank = dim if trial % 4 else int(rng.integers(1, dim + 1))
     g_rho = _gaussian(rng, dim, rank)
     ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
@@ -508,7 +497,7 @@ def evaluate_minimal(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dic
 
 
 def _draw_jarzynski(rng, config, trial):
-    dim = int(rng.choice(_dims_for("jarzynski", config)))
+    dim = int(rng.choice([d for d in config.dims if 2 <= d <= 6] or [2]))
     beta = config.beta_values[trial % len(config.beta_values)]
     h0 = _drawn(_draw_grounded_hermitian, rng, dim)
     h1 = _drawn(_draw_grounded_hermitian, rng, dim)
@@ -540,7 +529,7 @@ def evaluate_jarzynski(h0, h1, u: qm.Unitary, beta: float) -> dict:
 
 
 def _draw_dilation(rng, config, trial):
-    dim = int(rng.choice(_dims_for("dilation", config)))
+    dim = int(rng.choice([d for d in config.dims if d in (2, 3)] or [2]))
     g_rho = _gaussian(rng, dim, dim)
     g_u = _gaussian(rng, dim * dim, dim * dim)
     ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
@@ -682,8 +671,7 @@ class CheckSpec:
     draw: object  # (rng, config, trial) -> its stream's draws, a bare yield, then their build
     evaluate: object  # (**inputs) -> residuals; its parameter names key the bundle codec
     rng_alias: str | None = None
-    fixed: object | None = None
-    fixed_tolerances: dict = field(default_factory=dict)
+    fixed: object | None = None  # () -> residuals; evaluates trial -1, ``evaluate`` all others
     serialize: object = _serialize  # (**inputs) -> a failure bundle's JSON inputs
     #: (rng, config, trial) -> (inputs, counters) of one trial built alone, derived
     #: from ``draw`` unless given; the suite builds batches of draws, never calling it
@@ -692,6 +680,9 @@ class CheckSpec:
     def __post_init__(self):
         if self.generate is None or getattr(self.generate, "func", None) is _built:
             object.__setattr__(self, "generate", functools.partial(_built, self.draw))
+
+    def evaluator(self, trial):
+        return self.fixed if trial == -1 else self.evaluate
 
 
 CHECK_SPECS = {
@@ -755,11 +746,9 @@ CHECK_SPECS = {
     "dilation": CheckSpec(
         name="dilation",
         trial_fraction=0.3,
-        tolerances={"s1_exceeds_s2": 1e-9, "s2_exceeds_s3": 1e-9},
-        draw=_draw_dilation,
-        evaluate=evaluate_dilation,
-        fixed=_swap_reset_extras,
-        fixed_tolerances={
+        tolerances={
+            "s1_exceeds_s2": 1e-9,
+            "s2_exceeds_s3": 1e-9,
             "swap_sigma_dev": 1e-12,
             "swap_entropy_after": 1e-12,
             "swap_s1_dev": 1e-12,
@@ -767,6 +756,9 @@ CHECK_SPECS = {
             "swap_s3_dev": 1e-9,
             "swap_chain_violation": 1e-9,
         },
+        draw=_draw_dilation,
+        evaluate=evaluate_dilation,
+        fixed=_swap_reset_extras,
     ),
     "counterexample": CheckSpec(
         name="counterexample",
@@ -831,20 +823,21 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
         for trial, instance in zip(batch, _build(draws)):
             bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
             for name in names:
-                record = _trial_record(name, gates[name], {"check": name, **bundle}, instance)
+                record = _trial_record(gates[name], {"check": name, **bundle}, instance)
                 records[name].append(record)
                 seconds[name] += time.perf_counter() - started
                 started = time.perf_counter()
     return records, seconds
 
 
-def _trial_record(name: str, tolerances: dict, bundle: dict, instance) -> tuple:
-    """A check's record of one trial; ``instance`` is ``(inputs, counters)`` or its error."""
+def _trial_record(tolerances: dict, bundle: dict, instance) -> tuple:
+    """Record of the check and trial ``bundle`` names, from ``(inputs, counters)`` or its error."""
+    spec = CHECK_SPECS[bundle["check"]]
     try:
         if isinstance(instance, Exception):
             raise instance
         inputs, generated_counters = instance
-        residuals = CHECK_SPECS[name].evaluate(**inputs)
+        residuals = spec.evaluator(bundle.get("trial"))(**inputs)
     except (SeqMeasError, np.linalg.LinAlgError) as exc:
         # a broken instance aborts its trial, never the run, and
         # leaves enough behind to regenerate it deterministically
@@ -853,7 +846,7 @@ def _trial_record(name: str, tolerances: dict, bundle: dict, instance) -> tuple:
     if all(v <= tolerances[k] for k, v in residuals.items() if k in tolerances):  # False on nan
         return residuals, generated_counters, None
     bundle["residuals"] = {k: _json_float(v) for k, v in residuals.items()}
-    bundle["inputs"] = CHECK_SPECS[name].serialize(**inputs)
+    bundle["inputs"] = spec.serialize(**inputs)
     return residuals, generated_counters, bundle
 
 
@@ -861,6 +854,8 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
     """Fold the trial records, in trial order, into one check's outcome; its duration is left 0."""
     spec = CHECK_SPECS[name]
     tolerances = _gates(spec.tolerances, config.tol)
+    if spec.fixed is not None:  # the fixed instance is trial -1, folded last
+        records = [*records, _trial_record(tolerances, {"check": name, "trial": -1}, ({}, {}))]
     maxima = {k: 0.0 for k in tolerances}
     counters: dict = {}
     failures: list = []
@@ -875,14 +870,6 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
             counters[key] = counters.get(key, 0.0) + value
         if failure is not None:
             failures.append(failure)
-    if spec.fixed is not None:
-        fixed_tols = _gates(spec.fixed_tolerances, config.tol)
-        extras = spec.fixed()
-        maxima.update(extras)
-        tolerances.update(fixed_tols)
-        if any(not extras[k] <= fixed_tols[k] for k in extras):
-            residuals = {k: _json_float(v) for k, v in extras.items()}
-            failures.append({"check": name, "trial": -1, "residuals": residuals, "inputs": {}})
     return CheckOutcome(
         name=name,
         trials=n_trials(name, config),
@@ -1009,8 +996,7 @@ def replay_failure(bundle: dict) -> dict:
         raise InputError(
             "bundle records a generation error; regenerate from its seed_derivation"
         )
-    spec = CHECK_SPECS[name]
-    evaluate = spec.fixed if bundle.get("trial") == -1 else spec.evaluate
+    evaluate = CHECK_SPECS[name].evaluator(bundle.get("trial"))
     if evaluate is None:
         raise InputError(f"check {name!r} has no fixed instance")
     return evaluate(**_deserialize(evaluate, bundle["inputs"]))

@@ -56,16 +56,30 @@ class TestModelFile:
         assert "PASS" in out
 
     def test_output_lines(self, capsys, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5]}))
-        _, out, _ = run_cli(capsys, "jcheck", "--model", str(path), "--tol", "1e-6")
-        assert out.splitlines() == [
-            "model: 2 first outcomes, 1 second outcomes",
-            "  j_residual               0",
-            "  j_reverse_residual       0",
-            "  H(p) = 0   H(q) = 0.693147180559945   cross = 0.693147180559945",
-            "  result: PASS (tol 1e-06)",
+        passing = {"pi": [[1.0, 1.0]], "x": [0.0, 1.0], "x_tilde": [0.5]}
+        failing = {"pi": [[0.5, 0.5], [0.5, 0.5]], "x": [0.1, 0.9], "x_tilde": [0.7, 0.3]}
+        cases = [
+            (passing, "1e-6", 0, [
+                "model: 2 first outcomes, 1 second outcomes",
+                "  j_residual               0",
+                "  j_reverse_residual       0",
+                "  H(p) = 0   H(q) = 0.693147180559945   cross = 0.693147180559945",
+                "  result: PASS (tol 1e-06)",
+            ]),
+            # a rounding-level residual misses an impossible gate
+            (failing, "1e-300", 1, [
+                "model: 2 first outcomes, 2 second outcomes",
+                "  j_residual               1.11022302462516e-16",
+                "  j_reverse_residual       0",
+                "  H(p) = 0.325082973391448   H(q) = 0.693147180559945   cross = 0.780323874132334",
+                "  result: FAIL (tol 1e-300)",
+            ]),
         ]
+        for model, tol, expected_code, expected_lines in cases:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model))
+            code, out, _ = run_cli(capsys, "jcheck", "--model", str(path), "--tol", tol)
+            assert (code, out.splitlines()) == (expected_code, expected_lines)
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
     def test_tolerance_is_validated(self, capsys, tmp_path, tol):
@@ -171,6 +185,13 @@ class TestSuite:
         code, _, err = run_cli(capsys, "suite", "--config", str(config_path))
         assert code == 2
         assert "SEQMEAS_SEED" in err
+
+    def test_integer_beyond_float_range_in_config(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dims": [2], "trials": 3, "beta_values": [10**400]}))
+        code, _, err = run_cli(capsys, "suite", "--config", str(config_path))
+        assert code == 2
+        assert "beta_values must be positive and finite" in err
 
     def test_invalid_config_document(self, capsys, tmp_path):
         config_path = tmp_path / "config.json"

@@ -161,6 +161,9 @@ class TestConfig:
             ("seed", 5.0),
             ("trials", np.bool_(True)),
             ("tol", math.inf),
+            # integers beyond the float range
+            pytest.param("beta_values", [10**400], id="beta_values-huge-int"),
+            pytest.param("tol", 10**400, id="tol-huge-int"),
         ],
     )
     def test_malformed_json_values_rejected(self, key, value):
@@ -189,10 +192,14 @@ class TestConfig:
         assert hn.n_trials("counterexample", config) == 1
 
     def test_dim_filters(self):
-        config = hn.ExperimentConfig(dims=(2, 3, 4, 5, 6, 7, 8))
-        assert hn._dims_for("jarzynski", config) == [2, 3, 4, 5, 6]
-        assert hn._dims_for("dilation", config) == [2, 3]
-        assert hn._dims_for("jcheck", config) == [2, 3, 4, 5, 6, 7, 8]
+        def drawn_dims(name, key, dims):
+            config = hn.ExperimentConfig(dims=dims)
+            spec = hn.CHECK_SPECS[name]
+            return {len(spec.generate(hn.trial_rng(3, name, t), config, t)[0][key]) for t in range(40)}
+
+        assert drawn_dims("jarzynski", "h0", (2, 3, 4, 5, 6, 7, 8)) == {2, 3, 4, 5, 6}
+        assert drawn_dims("dilation", "phi", (2, 3, 4, 5, 6, 7, 8)) == {2, 3}
+        assert drawn_dims("jarzynski", "h0", (7, 8)) == drawn_dims("dilation", "phi", (7, 8)) == {2}
 
 
 class TestDeterminism:
@@ -335,7 +342,9 @@ class TestRunCheck:
     def test_tol_override_moves_fixed_gates(self):
         config = hn.ExperimentConfig(seed=4, dims=(2,), trials=2, tol=2.0)
         tolerances = hn.run_check("dilation", config).tolerances
-        assert set(hn.CHECK_SPECS["dilation"].fixed_tolerances) < set(tolerances)
+        swap_keys = {"swap_sigma_dev", "swap_entropy_after", "swap_s1_dev", "swap_s2_dev",
+                     "swap_s3_dev", "swap_chain_violation"}
+        assert swap_keys < set(tolerances)
         assert all(v == 2.0 for v in tolerances.values())
 
     def test_trials_build_no_validated_family(self, monkeypatch):
@@ -770,6 +779,28 @@ def test_failure_bundles_are_pinned():
         "u", "u_total", "h0", "h1", "beta", "phi",
     }
     assert _sha256(json.dumps(failures, sort_keys=True)) == PINNED_BUNDLES, (
+        f"the failure bundles' bytes moved (numpy {np.__version__}, BLAS {_blas_build()})"
+    )
+
+
+#: SHA-256 of a dilation run's failures, trial bundles then the failed fixed instance's.
+PINNED_FIXED_BUNDLES = "37d1dd03dd254be340638399199f92c98fb4b39b57ae9a161b0302613862f085"
+
+
+def test_fixed_instance_bundle_is_pinned(monkeypatch):
+    spec = hn.CHECK_SPECS["dilation"]
+
+    def failing_fixed():
+        return {**spec.fixed(), "swap_chain_violation": 1.0}
+
+    monkeypatch.setitem(hn.CHECK_SPECS, "dilation", dataclasses.replace(spec, fixed=failing_fixed))
+    config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=20, tol=1e-300)
+    failures = hn.run_check("dilation", config).failures
+    assert [f["trial"] for f in failures] == [5, -1]
+    fixed = failures[-1]
+    assert list(fixed) == ["check", "trial", "residuals", "inputs"] and fixed["inputs"] == {}
+    assert hn.replay_failure(json.loads(json.dumps(fixed))) == fixed["residuals"]
+    assert _sha256(json.dumps(failures)) == PINNED_FIXED_BUNDLES, (
         f"the failure bundles' bytes moved (numpy {np.__version__}, BLAS {_blas_build()})"
     )
 
