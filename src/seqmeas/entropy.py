@@ -19,6 +19,7 @@ from .quantum import (
     DensityOperator,
     ProjectorFamily,
     SpectralDecomposition,
+    _one_at_a_time,
     partial_trace,
     spectral_projectors,
     stack_traces,
@@ -49,14 +50,12 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return s if s > 0.0 else 0.0
 
 
-def _decompose(
-    rho: DensityOperator, sigma: DensityOperator
-) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """Spectral decompositions of rho and sigma; a shared operator is decomposed once."""
+def _decompose(rho: DensityOperator, sigma: DensityOperator):
+    """Steps: the spectral decompositions of rho and sigma; a shared operator is decomposed once."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    sd_r = spectral_projectors(rho.matrix)
-    sd_s = sd_r if sigma is rho else spectral_projectors(sigma.matrix)
+    sd_r = yield spectral_projectors, rho.matrix
+    sd_s = sd_r if sigma is rho else (yield spectral_projectors, sigma.matrix)
     return sd_r, sd_s
 
 
@@ -98,13 +97,14 @@ def _relative_entropy_parts(
     return tr_rho_log_rho - tr_rho_log_sigma, near_boundary
 
 
+@_one_at_a_time
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """S(rho||sigma) = Tr(rho log rho) - Tr(rho log sigma); may be math.inf.
 
     Computed from the spectral clusters of both operators; the result is
     +infinity when rho has weight on an eigenspace where sigma vanishes.
     """
-    value, _ = _relative_entropy_parts(*_decompose(rho, sigma))
+    value, _ = _relative_entropy_parts(*(yield from _decompose(rho, sigma)))
     return value
 
 
@@ -216,11 +216,12 @@ class EntropyReport:
         }
 
 
+@_one_at_a_time
 def entropy_report(rho: DensityOperator, sigma: DensityOperator) -> EntropyReport:
     """Run every pairwise entropy check, decomposing each operator once."""
     s_rho = von_neumann_entropy(rho)
     s_sigma = von_neumann_entropy(sigma)
-    sd_r, sd_s = _decompose(rho, sigma)
+    sd_r, sd_s = yield from _decompose(rho, sigma)
     rel, near_boundary = _relative_entropy_parts(sd_r, sd_s)
     minimality = _minimality(rho, sigma, sd_s)
     residuals = {

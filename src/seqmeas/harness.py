@@ -16,12 +16,15 @@ that consumes its trial's whole stream, with no linear algebra, up to a
 bare ``yield``; the rest of it is the trial's build, which yields requests
 for stacked kernels.  :func:`_build` answers a batch of builds' requests a
 stack per kernel and array shape, bit for bit as one at a time, so how
-trials are batched never changes a report.
+trials are batched never changes a report.  Evaluation runs stacked too,
+bit for bit as one operator at a time: the suite runs a batch's ``evaluate``
+steps (see ``_one_at_a_time``) through the same :func:`_build`.
 
 Dispatch: checks that share a trial stream form a group.  One loop,
 ``_trial_records``, draws each trial of a group once, builds the draws in
-batches of bounded size and makes one record per check and trial with
-``_trial_record`` (residuals, counters, failure bundle or None).
+batches of bounded size, evaluates each batch per check and makes one record
+per check and trial with ``_trial_record`` (residuals, counters, failure
+bundle or None).
 ``_outcome`` adds a check's fixed instance as trial -1 and folds its records.
 ``_run_group`` runs the loop over a group's trials in contiguous chunks,
 four per worker, in this process or in worker processes; :func:`run_check`
@@ -57,6 +60,7 @@ from . import entropy as ent
 from . import quantum as qm
 from . import stat_model as sm
 from .errors import ConfigError, InputError, SeqMeasError
+from .quantum import _alone, _build, _one_at_a_time
 
 CHECK_ORDER = (
     "jcheck",
@@ -363,49 +367,22 @@ def _drawn(draw, *args):
     return build
 
 
-def _build(builds: list) -> list:
-    """Run a batch's builds side by side; each entry becomes its build's value or error.
-
-    A build yields requests ``(kind, array, *args)`` and is sent their results.
-    Each round, the requests are grouped by kind and array shape, and one call
-    ``kind(stack, *per-request args)`` answers a group.  An entry that is an
-    error already (its draw failed) stays as it is.
-    """
-    out = list(builds)
-    sends = {t: None for t, build in enumerate(builds) if not isinstance(build, Exception)}
-    while sends:
-        groups: dict = {}
-        for t, value in sends.items():
-            try:
-                step = builds[t].throw if isinstance(value, Exception) else builds[t].send
-                kind, array, *args = step(value)
-                groups.setdefault((kind, array.shape), []).append((t, array, args))
-            except StopIteration as stop:
-                out[t] = stop.value
-            except (SeqMeasError, np.linalg.LinAlgError) as exc:
-                out[t] = exc
-        sends = {}
-        for (kind, _), requests in groups.items():
-            sends.update(zip([t for t, _, _ in requests], _stacked(kind, requests)))
-    return out
-
-
-def _stacked(kind, requests: list) -> list:
-    """A group's results; if the stack fails, each request is rerun alone and may get an error."""
-    try:
-        return kind(np.stack([a for _, a, _ in requests]), *zip(*(args for *_, args in requests)))
-    except (SeqMeasError, np.linalg.LinAlgError) as exc:
-        if len(requests) == 1:
-            return [exc]
-        return [result for request in requests for result in _stacked(kind, [request])]
-
-
 def _built(draw, *args):
     """The instance ``draw(*args)`` builds alone; its error is raised."""
-    (value,) = _build([_drawn(draw, *args)])
-    if isinstance(value, Exception):
-        raise value
-    return value
+    return _alone(_drawn(draw, *args))
+
+
+def _plainly(evaluate, **inputs):
+    """Steps of an ``evaluate`` without steps of its own: no request, its value at once."""
+    return evaluate(**inputs)
+    yield  # unreachable; makes this a generator function
+
+
+def _evaluated(evaluate, instances: list) -> list:
+    """Each built ``(inputs, counters)``'s residuals under ``evaluate``, or its error; an
+    ``evaluate`` made with ``_one_at_a_time`` runs its steps side by side, bit for bit."""
+    steps = getattr(evaluate, "steps", functools.partial(_plainly, evaluate))
+    return _build([x if isinstance(x, Exception) else steps(**x[0]) for x in instances])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +432,9 @@ def _draw_klein(rng, config, trial):
     return {"rho": rho, "sigma": (yield from _density(g_sigma))}, {}
 
 
+@_one_at_a_time
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
-    sd_r, sd_s = ent._decompose(rho, sigma)  # S(rho||rho) reuses rho's decomposition
+    sd_r, sd_s = yield from ent._decompose(rho, sigma)  # S(rho||rho) reuses rho's decomposition
     klein = ent._klein(ent._relative_entropy_parts(sd_r, sd_s)[0])
     return {
         "klein_violation": klein.residual,
@@ -478,8 +456,9 @@ def _draw_luders(rng, config, trial):
 def _luders_report_residuals(
     rho: qm.DensityOperator, family: qm.ProjectorFamily, drop_key: str
 ) -> dict:
-    """Residuals of (rho, Lueders image of rho); the entropy drop goes under ``drop_key``."""
-    report = ent.entropy_report(rho, qm.luders_channel(rho, family))
+    """Steps: residuals of (rho, Lueders image of rho); the entropy drop goes under ``drop_key``."""
+    image = yield from qm.luders_channel.steps(rho, family)
+    report = yield from ent.entropy_report.steps(rho, image)
     return {
         drop_key: max(report.s_rho - report.s_sigma, 0.0),
         "minimality_residual": report.residuals["max_minimality_deviation"],
@@ -488,12 +467,14 @@ def _luders_report_residuals(
     }
 
 
+@_one_at_a_time
 def evaluate_luders(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dict:
-    return _luders_report_residuals(rho, family, "entropy_drop")
+    return (yield from _luders_report_residuals(rho, family, "entropy_drop"))
 
 
+@_one_at_a_time
 def evaluate_minimal(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dict:
-    return _luders_report_residuals(rho, family, "order_violation")
+    return (yield from _luders_report_residuals(rho, family, "order_violation"))
 
 
 def _draw_jarzynski(rng, config, trial):
@@ -523,8 +504,9 @@ def _draw_grounded_hermitian(rng, dim):
     return 0.5 * (h + h.conj().T)
 
 
+@_one_at_a_time
 def evaluate_jarzynski(h0, h1, u: qm.Unitary, beta: float) -> dict:
-    result = qm.two_point_work_protocol(h0, h1, u, beta)
+    result = yield from qm.two_point_work_protocol.steps(h0, h1, u, beta)
     return {"jarzynski_gap": abs(result.lhs - result.rhs)}
 
 
@@ -542,8 +524,9 @@ def _draw_dilation(rng, config, trial):
     return {"rho": rho, "u_total": u_total, "ancilla_family": family, "phi": phi}, {}
 
 
+@_one_at_a_time
 def evaluate_dilation(rho, u_total, ancilla_family, phi) -> dict:
-    res = qm.dilation_analysis(rho, u_total, ancilla_family, phi)
+    res = yield from qm.dilation_analysis.steps(rho, u_total, ancilla_family, phi)
     return {
         "s1_exceeds_s2": max(res.s1 - res.s2, 0.0),
         "s2_exceeds_s3": max(res.s2 - res.s3, 0.0),
@@ -798,8 +781,9 @@ _BUILD_TRIALS = 256
 def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
     """``(records, seconds)`` of a stream group's trials, each keyed by check name.
 
-    The first check's ``draw`` consumes each trial's stream once, and one
-    :func:`_build` per batch of trials turns their draws into instances.  A
+    The first check's ``draw`` consumes each trial's stream once, one
+    :func:`_build` per batch of trials turns their draws into instances, and
+    each check evaluates the batch side by side (:func:`_evaluated`).  A
     check's records are one ``(residuals, generated counters, failure bundle
     or None)`` per trial, in order; its seconds are its time in the loop, the
     draws and the builds counted for the first check.  Worker processes run
@@ -807,6 +791,7 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
     """
     first = CHECK_SPECS[names[0]]
     stream = first.rng_alias or names[0]
+    seed = [config.seed, _CHECK_IDS[stream]]
     gates = {name: _gates(CHECK_SPECS[name].tolerances, config.tol) for name in names}
     records = {name: [] for name in names}
     seconds = dict.fromkeys(names, 0.0)
@@ -820,29 +805,29 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
                 draws.append(_drawn(first.draw, rng, config, trial))
             except (SeqMeasError, np.linalg.LinAlgError) as exc:
                 draws.append(exc)
-        for trial, instance in zip(batch, _build(draws)):
-            bundle = {"trial": trial, "seed_derivation": [config.seed, _CHECK_IDS[stream], trial]}
-            for name in names:
-                record = _trial_record(gates[name], {"check": name, **bundle}, instance)
-                records[name].append(record)
-                seconds[name] += time.perf_counter() - started
-                started = time.perf_counter()
+        instances = _build(draws)
+        for name in names:
+            evaluations = _evaluated(CHECK_SPECS[name].evaluate, instances)
+            for trial, instance, residuals in zip(batch, instances, evaluations):
+                bundle = {"check": name, "trial": trial, "seed_derivation": [*seed, trial]}
+                records[name].append(_trial_record(gates[name], bundle, instance, residuals))
+            seconds[name] += time.perf_counter() - started
+            started = time.perf_counter()
     return records, seconds
 
 
-def _trial_record(tolerances: dict, bundle: dict, instance) -> tuple:
-    """Record of the check and trial ``bundle`` names, from ``(inputs, counters)`` or its error."""
+def _trial_record(tolerances: dict, bundle: dict, instance, residuals=None) -> tuple:
+    """Record of the check and trial ``bundle`` names, from ``(inputs, counters)`` or its error,
+    and from its ``residuals`` or their error, evaluated here alone if None."""
     spec = CHECK_SPECS[bundle["check"]]
-    try:
-        if isinstance(instance, Exception):
-            raise instance
-        inputs, generated_counters = instance
-        residuals = spec.evaluator(bundle.get("trial"))(**inputs)
-    except (SeqMeasError, np.linalg.LinAlgError) as exc:
+    if residuals is None:
+        (residuals,) = _evaluated(spec.evaluator(bundle.get("trial")), [instance])
+    if isinstance(residuals, Exception):
         # a broken instance aborts its trial, never the run, and
         # leaves enough behind to regenerate it deterministically
-        error = f"{type(exc).__name__}: {exc}"
+        error = f"{type(residuals).__name__}: {residuals}"
         return {}, {}, {**bundle, "error": error, "residuals": {}, "inputs": {}}
+    inputs, generated_counters = instance
     if all(v <= tolerances[k] for k, v in residuals.items() if k in tolerances):  # False on nan
         return residuals, generated_counters, None
     bundle["residuals"] = {k: _json_float(v) for k, v in residuals.items()}

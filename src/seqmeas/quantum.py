@@ -9,7 +9,9 @@ Public constructors (and so JSON loading and unpickling) validate every
 axiom; families built from orthonormal columns are checked once, through
 ``V†V = I``.  Trial generation validates densities and column families a
 stack at a time, bit for bit as one at a time, and forms an all-rank-one
-family's projectors in one batched ``(d, 1) @ (1, d)`` product.
+family's projectors in one batched ``(d, 1) @ (1, d)`` product.  Functions
+made with ``_one_at_a_time`` yield requests for stacked kernels (such as
+``spectral_projectors`` of a stack); :func:`_build` runs a batch of them.
 ``ProjectorFamily(projectors)`` keeps its projectors as one read-only
 ``(k, d, d)`` array, ``stack``, and their ranks as ``degeneracies``; the
 Born, overlap and Lueders kernels are batched matmuls over ``stack``.  A
@@ -23,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -34,6 +37,7 @@ from .errors import (
     InconsistentModelError,
     InputError,
     InvalidOperatorError,
+    SeqMeasError,
     ShapeError,
 )
 from .stat_model import SequentialModel, exact_keys, real_array
@@ -66,9 +70,9 @@ def stack_traces(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.trace(a @ stack, axis1=1, axis2=2).real
 
 
-def _as_square_complex(a, what: str = "matrix") -> np.ndarray:
+def _as_square_complex(a, what: str = "matrix", ndims=(2,)) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in ndims or arr.shape[-1] != arr.shape[-2]:
         raise ShapeError(f"{what} must be square, got shape {arr.shape}")
     if not np.isfinite(arr.real).all() or not np.isfinite(arr.imag).all():
         raise InputError(f"{what} must have finite entries")
@@ -79,6 +83,62 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _build(steps: list) -> list:
+    """Run a batch of steps side by side; each entry becomes its steps' value or error.
+
+    Steps are generators that yield requests ``(kind, array, *args)`` and are
+    sent their results.  Each round, the requests are grouped by kind and array
+    shape, and one call ``kind(stack, *per-request args)`` answers a group.  An
+    entry that is an error already stays as it is.
+    """
+    out = list(steps)
+    sends = {t: None for t, step in enumerate(steps) if not isinstance(step, Exception)}
+    while sends:
+        groups: dict = {}
+        for t, value in sends.items():
+            try:
+                step = steps[t].throw if isinstance(value, Exception) else steps[t].send
+                kind, array, *args = step(value)
+                groups.setdefault((kind, array.shape), []).append((t, array, args))
+            except StopIteration as stop:
+                out[t] = stop.value
+            except (SeqMeasError, np.linalg.LinAlgError) as exc:
+                out[t] = exc
+        sends = {}
+        for (kind, _), requests in groups.items():
+            sends.update(zip([t for t, _, _ in requests], _stacked(kind, requests)))
+    return out
+
+
+def _stacked(kind, requests: list) -> list:
+    """A group's results; if the stack fails, each request is rerun alone and may get an error."""
+    try:
+        return kind(np.array([a for _, a, _ in requests]), *zip(*(args for *_, args in requests)))
+    except (SeqMeasError, np.linalg.LinAlgError) as exc:
+        if len(requests) == 1:
+            return [exc]
+        return [result for request in requests for result in _stacked(kind, [request])]
+
+
+def _alone(steps):
+    """The value of one generator of steps, run as a batch of one; its error is raised."""
+    (value,) = _build([steps])
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _one_at_a_time(steps):
+    """Generator function ``steps`` run by :func:`_alone`, keeping it as ``.steps``
+    for callers that run a batch of it side by side."""
+    @functools.wraps(steps)
+    def alone(*args, **kwargs):
+        return _alone(steps(*args, **kwargs))
+
+    alone.steps = steps
+    return alone
 
 
 @dataclass(frozen=True)
@@ -103,16 +163,16 @@ class DensityOperator:
         An error reports the stack's worst residual, the matrix's own for one matrix.
         """
         herm = max_abs(ms - dagger(ms))
-        if herm >= HERMITIAN_TOL:
+        if not herm < HERMITIAN_TOL:
             raise InvalidOperatorError("density operator is not Hermitian", "hermitian", herm)
         spectra = np.linalg.eigvalsh(ms)
         min_eig = float(spectra.min())
-        if min_eig <= -PSD_TOL:
+        if not min_eig > -PSD_TOL:
             raise InvalidOperatorError(
                 "density operator is not positive semidefinite", "positive", -min_eig
             )
         trace_dev = float(np.abs(np.trace(ms, axis1=-2, axis2=-1).real - 1.0).max())
-        if trace_dev >= TRACE_TOL:
+        if not trace_dev < TRACE_TOL:
             raise InvalidOperatorError("density operator trace is not one", "unit_trace", trace_dev)
         spectra.setflags(write=False)
         return spectra
@@ -140,7 +200,7 @@ class Unitary:
     def __post_init__(self):
         m = _as_square_complex(self.matrix, "unitary")
         dev = max_abs(dagger(m) @ m - np.eye(m.shape[0]))
-        if dev >= UNITARY_TOL:
+        if not dev < UNITARY_TOL:
             raise InvalidOperatorError("matrix is not unitary", "unitary", dev)
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -176,31 +236,31 @@ class ProjectorFamily:
             raise ShapeError("all projectors must share one dimension")
         for k, p in enumerate(projs):
             idem = max_abs(p @ p - p)
-            if idem >= PROJECTOR_TOL:
+            if not idem < PROJECTOR_TOL:
                 raise InvalidOperatorError(
                     f"projector {k} is not idempotent", "idempotent", idem
                 )
             herm = max_abs(p - dagger(p))
-            if herm >= PROJECTOR_TOL:
+            if not herm < PROJECTOR_TOL:
                 raise InvalidOperatorError(
                     f"projector {k} is not Hermitian", "hermitian", herm
                 )
         for a in range(len(projs)):
             for b in range(a + 1, len(projs)):
                 ortho = max_abs(projs[a] @ projs[b])
-                if ortho >= PROJECTOR_TOL:
+                if not ortho < PROJECTOR_TOL:
                     raise InvalidOperatorError(
                         f"projectors {a} and {b} are not orthogonal", "orthogonal", ortho
                     )
         completeness = max_abs(sum(projs) - np.eye(dim))
-        if completeness >= PROJECTOR_TOL:
+        if not completeness < PROJECTOR_TOL:
             raise InvalidOperatorError(
                 "projectors do not sum to the identity", "complete", completeness
             )
         degs = []
         for k, p in enumerate(projs):
             t = float(np.trace(p).real)
-            if abs(t - round(t)) >= DEGENERACY_TOL or round(t) < 1:
+            if not abs(t - round(t)) < DEGENERACY_TOL or round(t) < 1:
                 raise InvalidOperatorError(
                     f"projector {k} has non-integer rank", "integer_degeneracy", abs(t - round(t))
                 )
@@ -217,13 +277,8 @@ class ProjectorFamily:
         return type(self), (self.projectors,)
 
     @classmethod
-    def _from_columns(cls, v: np.ndarray, widths) -> "ProjectorFamily":
-        """Family ``P_a = B_a B_a†`` of the consecutive column blocks ``B_a`` of square ``v``."""
-        return cls._from_column_stack(v[np.newaxis], [widths])[0]
-
-    @classmethod
     def _from_column_stack(cls, vs: np.ndarray, widths) -> list:
-        """``_from_columns(vs[i], widths[i])`` for each matrix of a ``(n, d, d)`` stack.
+        """Families ``P_a = B_a B_a†`` of the consecutive column blocks ``B_a`` of ``vs[i]``.
 
         ``widths`` (positive, summing to the dimension d) become the degeneracies.
         The one check ``|E|_max < eps = PROJECTOR_TOL / d**2`` on ``E = V†V - I``,
@@ -271,10 +326,10 @@ class SpectralDecomposition:
 
 
 def hermitian_eigendecomposition(a):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    m = _as_square_complex(a, "operator")
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix or stack of them."""
+    m = _as_square_complex(a, "operator", (2, 3))
     dev = max_abs(m - dagger(m))
-    if dev >= HERMITIAN_TOL:
+    if not dev < HERMITIAN_TOL:
         raise InputError(f"operator is not Hermitian (residual {dev:.3e})")
     return np.linalg.eigh(m)
 
@@ -291,21 +346,30 @@ def _cluster_slices(values: np.ndarray, cluster_tol: float) -> list:
     return slices
 
 
-def spectral_projectors(a) -> SpectralDecomposition:
+def spectral_projectors(a):
     """Spectral decomposition with eigenvalues merged into clusters.
 
     Eigenvalues within ``CLUSTER_TOL`` of each other share one
     eigenprojection; each cluster's representative is the mean of its
-    members and its degeneracy the cluster multiplicity.
+    members and its degeneracy the cluster multiplicity.  A ``(n, d, d)``
+    stack gives the list of its matrices' decompositions, bit for bit as
+    one at a time, through one Hermiticity check, one ``eigh`` and one
+    family check; an error reports the stack's worst residual.
     """
     w, v = hermitian_eigendecomposition(a)
-    cuts = (np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1).tolist()
-    bounds = list(zip([0, *cuts], [*cuts, len(w)]))
-    return SpectralDecomposition(
-        # a one-member cluster's mean is its member
-        eigenvalues=np.array([w[lo] if hi - lo == 1 else w[lo:hi].mean() for lo, hi in bounds]),
-        family=ProjectorFamily._from_columns(v, [hi - lo for lo, hi in bounds]),
-    )
+    ws, vs = (w, v) if w.ndim == 2 else (w[np.newaxis], v[np.newaxis])
+    cuts = ((np.flatnonzero(gaps) + 1).tolist() for gaps in np.diff(ws) > CLUSTER_TOL)
+    bounds = [list(zip([0, *c], [*c, ws.shape[1]])) for c in cuts]
+    families = ProjectorFamily._from_column_stack(vs, [[hi - lo for lo, hi in b] for b in bounds])
+    out = [
+        SpectralDecomposition(
+            # a one-member cluster's mean is its member
+            eigenvalues=np.array([e[lo] if hi - lo == 1 else e[lo:hi].mean() for lo, hi in b]),
+            family=family,
+        )
+        for e, b, family in zip(ws, bounds, families)
+    ]
+    return out if v.ndim == 3 else out[0]
 
 
 def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.ndarray:
@@ -315,12 +379,13 @@ def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.n
     return np.clip(stack_traces(rho.matrix, family.stack), 0.0, 1.0)
 
 
+@_one_at_a_time
 def luders_channel(rho: DensityOperator, family: ProjectorFamily) -> DensityOperator:
     """Non-selective state change sum_i P_i rho P_i."""
     if rho.dim != family.dim:
         raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
     out = (family.stack @ rho.matrix @ family.stack).sum(axis=0)
-    return DensityOperator(0.5 * (out + dagger(out)))
+    return (yield DensityOperator._stack, 0.5 * (out + dagger(out)))
 
 
 @dataclass(frozen=True)
@@ -390,9 +455,9 @@ def build_sequential_model(
         raise ShapeError(
             f"p_tilde has shape {p_tilde.shape}, expected ({len(second_family)},)"
         )
-    if bool((p_tilde <= 0.0).any()):
+    if not bool((p_tilde > 0.0).all()):
         raise InputError("p_tilde must be strictly positive on every outcome")
-    if abs(p_tilde.sum() - 1.0) > 1e-10:
+    if not abs(p_tilde.sum() - 1.0) <= 1e-10:
         raise InputError(f"p_tilde sums to {p_tilde.sum():.15g}, expected 1")
     # gate on the weighted residuals: the normalised ones blow up float
     # noise by 1/p(i) on exact low-probability branches
@@ -415,10 +480,10 @@ def build_sequential_model(
             raise ShapeError(
                 f"probabilities has shape {p.shape}, expected {report.probabilities.shape}"
             )
-        if bool((p < 0.0).any()) or abs(p.sum() - 1.0) > 1e-10:
+        if not (bool((p >= 0.0).all()) and abs(p.sum() - 1.0) <= 1e-10):
             raise InputError("probabilities must be a distribution over first outcomes")
         dev = max_abs(p - report.probabilities)
-        if dev >= 1e-10:
+        if not dev < 1e-10:
             raise InputError(
                 f"supplied probabilities disagree with Tr(rho0 P_i) by {dev:.3e}"
             )
@@ -431,7 +496,7 @@ def build_sequential_model(
     selected = u.matrix @ firsts @ rho0.matrix @ firsts @ dagger(u.matrix)
     direct = np.einsum("jab,iba->ji", seconds, selected).real.T
     dev = max_abs(joint - direct)
-    if dev >= 1e-10:
+    if not dev < 1e-10:
         raise InconsistentModelError(
             f"induced joint distribution deviates from the Born rule by {dev:.3e}"
         )
@@ -452,6 +517,7 @@ class WorkProtocolResult:
     energies_second: np.ndarray
 
 
+@_one_at_a_time
 def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResult:
     """Energy measurement, unitary drive, energy measurement.
 
@@ -460,10 +526,10 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     distribution is the Boltzmann distribution of ``h1``, which makes the
     J-equation the Jarzynski equality <exp(-beta w)> = exp(-beta dF).
     """
-    if beta <= 0:
+    if not beta > 0:
         raise InputError("beta must be positive")
-    sd0 = spectral_projectors(h0)
-    sd1 = spectral_projectors(h1)
+    sd0 = yield spectral_projectors, _as_square_complex(h0, "operator")
+    sd1 = yield spectral_projectors, _as_square_complex(h1, "operator")
     if sd0.family.dim != sd1.family.dim or u.dim != sd0.family.dim:
         raise ShapeError("h0, h1 and u must share one dimension")
     energies0 = sd0.eigenvalues
@@ -474,7 +540,8 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     # shifted Boltzmann weights avoid overflow at large beta
     w0 = np.exp(-beta * (energies0 - energies0.min()))
     z0_shifted = float((d0 * w0).sum())
-    rho0 = DensityOperator(((w0 / z0_shifted)[:, None, None] * sd0.family.stack).sum(axis=0))
+    boltzmann = ((w0 / z0_shifted)[:, None, None] * sd0.family.stack).sum(axis=0)
+    rho0 = yield DensityOperator._stack, boltzmann
     w1 = np.exp(-beta * (energies1 - energies1.min()))
     z1_shifted = float((d1 * w1).sum())
     p_tilde = d1 * w1 / z1_shifted
@@ -547,6 +614,7 @@ class DilationResult:
     s3: float
 
 
+@_one_at_a_time
 def dilation_analysis(
     rho: DensityOperator,
     u_total: Unitary,
@@ -566,7 +634,7 @@ def dilation_analysis(
     if phi.shape[0] != d2:
         raise ShapeError(f"ancilla state has length {phi.shape[0]}, expected {d2}")
     norm_dev = abs(float(np.linalg.norm(phi)) - 1.0)
-    if norm_dev >= 1e-10:
+    if not norm_dev < 1e-10:
         raise InputError(f"ancilla state must be normalised (residual {norm_dev:.3e})")
 
     p_phi = np.outer(phi, phi.conj())
@@ -577,16 +645,17 @@ def dilation_analysis(
     evolved = u @ initial @ dagger(u)
     lifted = tensor_product(eye1, ancilla_family.stack)
     selected = (lifted @ evolved @ lifted).sum(axis=0)
-    sigma = DensityOperator(partial_trace(selected, (d1, d2), keep=1))
+    sigma = yield DensityOperator._stack, partial_trace(selected, (d1, d2), keep=1)
 
     q_projs = dagger(u) @ lifted @ u
     rho_prime_m = (q_projs @ initial @ q_projs).sum(axis=0)
-    rho_prime = DensityOperator(0.5 * (rho_prime_m + dagger(rho_prime_m)))
+    rho_prime = yield DensityOperator._stack, 0.5 * (rho_prime_m + dagger(rho_prime_m))
 
     s1 = von_neumann_entropy(rho)
     s2 = von_neumann_entropy(rho_prime)
-    s31 = von_neumann_entropy(DensityOperator(partial_trace(rho_prime.matrix, (d1, d2), keep=1)))
-    s32 = von_neumann_entropy(DensityOperator(partial_trace(rho_prime.matrix, (d1, d2), keep=2)))
+    reduced = [partial_trace(rho_prime.matrix, (d1, d2), keep=k) for k in (1, 2)]
+    s31 = von_neumann_entropy((yield DensityOperator._stack, reduced[0]))
+    s32 = von_neumann_entropy((yield DensityOperator._stack, reduced[1]))
     return DilationResult(
         sigma=sigma,
         rho_prime=rho_prime,
@@ -642,7 +711,7 @@ def unitary_from_json(obj: dict) -> Unitary:
 def hermitian_from_json(obj: dict) -> np.ndarray:
     m = matrix_from_json(obj)
     dev = max_abs(m - dagger(m))
-    if dev >= HERMITIAN_TOL:
+    if not dev < HERMITIAN_TOL:
         raise InvalidOperatorError("matrix is not Hermitian", "hermitian", dev)
     return m
 

@@ -90,7 +90,7 @@ class TestRandomPvm:
             assert np.array_equal(fam.degeneracies, ref.degeneracies)
 
     def test_builds_no_unitary(self, monkeypatch):
-        # _from_columns checks the Haar columns; a Unitary would check them again
+        # _from_column_stack checks the Haar columns; a Unitary would check them again
         calls = []
         original = qm.Unitary.__post_init__
 
@@ -657,6 +657,35 @@ class TestBatchedGeneration:
             assert inputs.keys() == alone.keys()
             for key in inputs:
                 assert _input_bits(inputs[key]) == _input_bits(alone[key]), (trial, key)
+
+    @pytest.mark.parametrize("names", STREAM_GROUPS, ids="-".join)
+    def test_suite_residuals_are_each_trial_evaluated_alone(self, names):
+        """A batch is evaluated side by side, bit for bit as ``evaluate`` on each trial alone."""
+        config = hn.ExperimentConfig(**self.CONFIG)
+        stream = hn.CHECK_SPECS[names[0]].rng_alias or names[0]
+        trials = range(hn.n_trials(names[0], config))
+        records = hn._trial_records(names, config, trials)[0]
+        for name in names:
+            spec = hn.CHECK_SPECS[name]
+            for trial, (residuals, _, _) in zip(trials, records[name]):
+                inputs, _ = spec.generate(hn.trial_rng(config.seed, stream, trial), config, trial)
+                alone = spec.evaluate(**inputs)
+                assert {k: float(v).hex() for k, v in residuals.items()} == {
+                    k: float(v).hex() for k, v in alone.items()
+                }, (name, trial)
+
+    @pytest.mark.parametrize("name", ["klein", "luders"])
+    def test_eigh_calls_do_not_grow_with_the_batch(self, monkeypatch, name):
+        config = hn.ExperimentConfig(seed=41, dims=(3,), trials=40)
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        counts = {}
+        for n in (1, 40):
+            shapes.clear()
+            hn._trial_records((name,), config, range(n))
+            counts[n] = list(shapes)
+        assert counts == {1: [(1, 3, 3)] * 2, 40: [(40, 3, 3)] * 2}
 
     def test_densities_of_every_rank_share_one_check(self, monkeypatch):
         """Klein's densities of one d are checked in one stack per round, whatever their ranks."""

@@ -63,6 +63,24 @@ class TestOperatorTypes:
             qm.ProjectorFamily((0.5 * np.eye(2), 0.5 * np.eye(2)))
         assert err.value.constraint == "idempotent"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unitary_overflowing_to_nan_rejected(self):
+        # U†U - I overflows to NaN, which fails no ``dev >= tol`` gate
+        m = np.array([[1e200 + 1e200j, 1e200 - 1e200j], [1e200 + 1e200j, -1e200 + 1e200j]])
+        for build in (qm.Unitary, lambda m: qm.unitary_from_json(qm.matrix_to_json(m))):
+            with pytest.raises(InvalidOperatorError) as err:
+                build(m)
+            assert err.value.constraint == "unitary" and math.isnan(err.value.residual)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_family_overflowing_to_nan_rejected(self):
+        # Hermitian, complete and of unit traces, but P P - P overflows to NaN
+        y = 1e200 + 1e200j
+        p = np.array([[1.0, y], [np.conj(y), 0.0]])
+        with pytest.raises(InvalidOperatorError) as err:
+            qm.ProjectorFamily((p, np.eye(2) - p))
+        assert err.value.constraint == "idempotent" and math.isnan(err.value.residual)
+
     def test_family_degeneracies(self):
         fam = qm.ProjectorFamily((np.diag([1, 1, 0, 0]).astype(complex),
                                   np.diag([0, 0, 1, 0]).astype(complex),
@@ -158,19 +176,60 @@ class TestSpectralProjectors:
                 assert not got.flags.writeable
             assert np.array_equal(sd.family.degeneracies, ref.degeneracies)
 
+    def test_batch_equals_one_at_a_time_on_hard_inputs(self):
+        """One batch of requests mixing d = 1..64, gaps near CLUSTER_TOL and degenerate
+        clusters decomposes each matrix bit for bit as alone; a non-Hermitian matrix in
+        the middle of a stack fails its own request only, with the error it raises alone."""
+        rng = rng_for("spectral-batch-hard")
+        matrices = []
+        for dim in (1, 2, 8, 16, 64):
+            for gap in (0.5, 1.0, 2.0, 10.0):
+                eigs = np.sort(rng.uniform(-1.0, 1.0, dim))
+                eigs[1::2] = eigs[0 : dim - 1 : 2] + gap * qm.CLUSTER_TOL
+                if dim >= 8:
+                    eigs[-3:] = eigs[-3]  # a degenerate cluster of three
+                u = random_unitary(dim, rng).matrix
+                h = (u * eigs) @ u.conj().T
+                matrices.append(0.5 * (h + h.conj().T))
+        bad = matrices[9].copy()  # the second of four d = 8 requests
+        bad[0, 1] += 1e-6
+        with pytest.raises(InputError) as alone_error:
+            qm.spectral_projectors(bad)
+        requests = [*matrices[:9], bad, *matrices[9:]]
+
+        def decomposed(m):
+            return (yield qm.spectral_projectors, m)
+
+        batch = qm._build([decomposed(m) for m in requests])
+        assert type(batch[9]) is InputError and str(batch[9]) == str(alone_error.value)
+        del batch[9]
+        merged = set()
+        for m, got in zip(matrices, batch):
+            want = qm.spectral_projectors(m)
+            assert_same_bits(got.eigenvalues, want.eigenvalues)
+            assert_same_bits(got.family.degeneracies, want.family.degeneracies)
+            assert_same_bits(got.family.stack, want.family.stack)
+            assert not got.family.stack.flags.writeable
+            assert not any(p.flags.writeable for p in got.family.projectors)
+            merged.add(len(got.family) < m.shape[0])
+        assert merged == {True, False}
+        stack = qm.spectral_projectors(np.stack(matrices[8:12]))  # one call on a (4, 8, 8) stack
+        for m, got in zip(matrices[8:12], stack):
+            assert_same_bits(got.family.stack, qm.spectral_projectors(m).family.stack)
+
     def test_column_family_rejects_non_orthonormal_columns(self):
         rng = rng_for("column-perturbed")
         for dim in (2, 5, 16):
             v = random_unitary(dim, rng).matrix
             eps = qm.PROJECTOR_TOL / dim**2
-            qm.ProjectorFamily._from_columns(v * (1 + 0.01 * eps), [dim])
+            qm.ProjectorFamily._from_column_stack(v[np.newaxis] * (1 + 0.01 * eps), [[dim]])
             with pytest.raises(InvalidOperatorError) as err:
-                qm.ProjectorFamily._from_columns(v * (1 + eps), [1] * dim)
+                qm.ProjectorFamily._from_column_stack(v[np.newaxis] * (1 + eps), [[1] * dim])
             assert err.value.constraint == "orthonormal"
 
     def test_column_family_rejects_nan_columns(self):
         with pytest.raises(InvalidOperatorError) as err:
-            qm.ProjectorFamily._from_columns(np.full((2, 2), np.nan), [1, 1])
+            qm.ProjectorFamily._from_column_stack(np.full((1, 2, 2), np.nan), [[1, 1]])
         assert err.value.constraint == "orthonormal"
         v = random_unitary(3, rng_for("column-nan")).matrix.copy()
         v[1, 2] = np.nan
@@ -344,6 +403,12 @@ class TestBuildSequentialModel:
         with pytest.raises(InputError):
             qm.build_sequential_model(rho0, fam, qm.identity_unitary(2), fam, [1.0, 0.0])
 
+    def test_nan_p_tilde_rejected(self):
+        rho0 = qm.DensityOperator(np.eye(2) / 2)
+        fam = qm.ProjectorFamily(COMP_BASIS)
+        with pytest.raises(InputError, match="strictly positive"):
+            qm.build_sequential_model(rho0, fam, qm.identity_unitary(2), fam, [math.nan] * 2)
+
 
 class TestTwoPointProtocol:
     def test_equal_hamiltonians_identity_drive(self):
@@ -390,6 +455,8 @@ class TestTwoPointProtocol:
         h = np.diag([0.0, 1.0])
         with pytest.raises(InputError):
             qm.two_point_work_protocol(h, h, qm.identity_unitary(2), beta=0.0)
+        with pytest.raises(InputError, match="beta must be positive"):
+            qm.two_point_work_protocol(h, h, qm.identity_unitary(2), beta=math.nan)
 
 
 class TestTensorAndPartialTrace:
@@ -578,6 +645,12 @@ class TestJsonFormat:
         with pytest.raises(InvalidOperatorError):
             qm.hermitian_from_json(doc)
 
+    def test_hermitian_load_rejects_nan(self):
+        doc = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        with pytest.raises(InvalidOperatorError) as err:
+            qm.hermitian_from_json(doc)
+        assert err.value.constraint == "hermitian" and math.isnan(err.value.residual)
+
 
 def assert_same_bits(got, want):
     """Equal bit for bit: array_equal, plus dtype, shape and the sign of every zero."""
@@ -637,7 +710,7 @@ class TestBatchedKernels:
         dim, rng, _, _ = case
         v = random_unitary(dim, rng).matrix
         widths = random_ranks(dim, rng, degenerate=True)
-        fam = qm.ProjectorFamily._from_columns(v, widths)
+        (fam,) = qm.ProjectorFamily._from_column_stack(v[np.newaxis], [widths])
         for got, block in zip(fam.projectors, np.split(v, np.cumsum(widths)[:-1], axis=1)):
             p = block @ block.conj().T
             assert_same_bits(got, 0.5 * (p + p.conj().T))
