@@ -59,12 +59,10 @@ from .quantum import (
 )
 from .entropy import (
     EntropyReport,
-    KleinResult,
     MinimalityResult,
     counterexample_pair,
     entropy_report,
     is_minimal_pair,
-    klein_check,
     minimal_identity_check,
     relative_entropy,
     von_neumann_entropy,

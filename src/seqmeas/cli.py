@@ -19,7 +19,7 @@ import numpy as np
 from . import entropy as ent
 from . import harness as hn
 from . import stat_model as sm
-from .errors import SeqMeasError
+from .errors import InputError, SeqMeasError
 
 _CHECK_COMMANDS = tuple(n for n, spec in hn.CHECK_SPECS.items() if spec.trial_fraction is not None)
 
@@ -133,9 +133,17 @@ def _run_single_check(name: str, args) -> int:
     return 0 if outcome.passed else 1
 
 
-def _run_model_file(path: str, config: hn.ExperimentConfig) -> int:
+def _read_json(path: str):
+    """The JSON document in ``path``; undecodable or too deeply nested text is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
-        model = sm.model_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
+def _run_model_file(path: str, config: hn.ExperimentConfig) -> int:
+    model = sm.model_from_json(_read_json(path))
     violations = sm.validate_model(model)
     print(f"model: {model.n_first} first outcomes, {model.n_second} second outcomes")
     if violations:
@@ -206,8 +214,7 @@ def _run_suite(args) -> int:
     if args.config is None:
         config = hn.acceptance_config()
     else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = hn.ExperimentConfig.from_json(json.load(fh))
+        config = hn.ExperimentConfig.from_json(_read_json(args.config))
     env_seed = _env_seed()
     if env_seed is not None:
         config = hn.ExperimentConfig.from_json({**config.to_json(), "seed": env_seed})
@@ -235,7 +242,7 @@ def main(argv=None) -> int:
         if args.command == "counterexample":
             return _run_counterexample(args)
         return _run_suite(args)
-    except (SeqMeasError, OSError, json.JSONDecodeError) as exc:
+    except (SeqMeasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

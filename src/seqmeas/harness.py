@@ -17,8 +17,8 @@ bare ``yield``; the rest of it is the trial's build, which yields requests
 for stacked kernels.  :func:`_build` answers a batch of builds' requests a
 stack per kernel and array shape, bit for bit as one at a time, so how
 trials are batched never changes a report.  Evaluation runs stacked too,
-bit for bit as one operator at a time: the suite runs a batch's ``evaluate``
-steps (see ``_one_at_a_time``) through the same :func:`_build`.
+bit for bit as one operator at a time: every ``evaluate`` and ``fixed`` is
+made with ``_one_at_a_time``, and the suite runs their steps through :func:`_build`.
 
 Dispatch: checks that share a trial stream form a group.  One loop,
 ``_trial_records``, draws each trial of a group once, builds the draws in
@@ -372,17 +372,9 @@ def _built(draw, *args):
     return _alone(_drawn(draw, *args))
 
 
-def _plainly(evaluate, **inputs):
-    """Steps of an ``evaluate`` without steps of its own: no request, its value at once."""
-    return evaluate(**inputs)
-    yield  # unreachable; makes this a generator function
-
-
 def _evaluated(evaluate, instances: list) -> list:
-    """Each built ``(inputs, counters)``'s residuals under ``evaluate``, or its error; an
-    ``evaluate`` made with ``_one_at_a_time`` runs its steps side by side, bit for bit."""
-    steps = getattr(evaluate, "steps", functools.partial(_plainly, evaluate))
-    return _build([x if isinstance(x, Exception) else steps(**x[0]) for x in instances])
+    """Each built ``(inputs, counters)``'s residuals or error; ``evaluate.steps`` run batched."""
+    return _build([x if isinstance(x, Exception) else evaluate.steps(**x[0]) for x in instances])
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +389,16 @@ def _draw_jcheck(rng, config, trial):
     return {"model": _require_valid(model)}, {"zero_x_trials": 1.0 if zeroed else 0.0}
 
 
+@_one_at_a_time
 def evaluate_jcheck(model: sm.SequentialModel) -> dict:
     return {
         "j_residual": sm.j_equation_residual(model),
         "j_reverse_residual": sm.j_equation_reverse_residual(model),
     }
+    yield  # no request: a generator function for ``_one_at_a_time``
 
 
+@_one_at_a_time
 def evaluate_chain(model: sm.SequentialModel) -> dict:
     chain = sm.entropy_chain(model)
     hq_exceeds_cross = (
@@ -419,6 +414,7 @@ def evaluate_chain(model: sm.SequentialModel) -> dict:
         "hq_exceeds_cross": hq_exceeds_cross,
         "minimal_gap": minimal_gap,
     }
+    yield  # no request: a generator function for ``_one_at_a_time``
 
 
 def _draw_klein(rng, config, trial):
@@ -435,11 +431,11 @@ def _draw_klein(rng, config, trial):
 @_one_at_a_time
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
     sd_r, sd_s = yield from ent._decompose(rho, sigma)  # S(rho||rho) reuses rho's decomposition
-    klein = ent._klein(ent._relative_entropy_parts(sd_r, sd_s)[0])
+    rel = ent._relative_entropy_parts(sd_r, sd_s)[0]
     return {
-        "klein_violation": klein.residual,
+        "klein_violation": ent._klein(rel),
         "self_rel_entropy": abs(ent._relative_entropy_parts(sd_r, sd_r)[0]),
-        "infinite_rel_entropy_trials": 1.0 if math.isinf(klein.value) else 0.0,
+        "infinite_rel_entropy_trials": 1.0 if math.isinf(rel) else 0.0,
     }
 
 
@@ -533,6 +529,7 @@ def evaluate_dilation(rho, u_total, ancilla_family, phi) -> dict:
     }
 
 
+@_one_at_a_time
 def _swap_reset_extras() -> dict:
     """Fixed regression: SWAP coupling resets a maximally mixed qubit.
 
@@ -543,7 +540,7 @@ def _swap_reset_extras() -> dict:
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
     basis = qm.ProjectorFamily((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    res = qm.dilation_analysis(
+    res = yield from qm.dilation_analysis.steps(
         qm.DensityOperator(np.eye(2) / 2),
         qm.Unitary(swap),
         basis,
@@ -574,8 +571,9 @@ _CE_CLUSTERS = (
 )
 
 
+@_one_at_a_time
 def evaluate_counterexample() -> dict:
-    report = ent.entropy_report(*ent.counterexample_pair())
+    report = yield from ent.entropy_report.steps(*ent.counterexample_pair())
     minimality = report.minimality
     eigenvalues, degeneracies, q, p_tilde = np.array(_CE_CLUSTERS).T
     if minimality.degeneracies.tolist() != degeneracies.tolist():  # also a count mismatch
@@ -648,13 +646,12 @@ def _deserialize(evaluate, obj) -> dict:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    name: str
     trial_fraction: float | None  # None: single fixed instance
     tolerances: dict
     draw: object  # (rng, config, trial) -> its stream's draws, a bare yield, then their build
-    evaluate: object  # (**inputs) -> residuals; its parameter names key the bundle codec
+    evaluate: object  # steps of (**inputs) -> residuals; its parameter names key the bundle codec
     rng_alias: str | None = None
-    fixed: object | None = None  # () -> residuals; evaluates trial -1, ``evaluate`` all others
+    fixed: object | None = None  # steps of () -> residuals of trial -1; ``evaluate`` does the rest
     serialize: object = _serialize  # (**inputs) -> a failure bundle's JSON inputs
     #: (rng, config, trial) -> (inputs, counters) of one trial built alone, derived
     #: from ``draw`` unless given; the suite builds batches of draws, never calling it
@@ -670,14 +667,12 @@ class CheckSpec:
 
 CHECK_SPECS = {
     "jcheck": CheckSpec(
-        name="jcheck",
         trial_fraction=1.0,
         tolerances={"j_residual": 1e-9, "j_reverse_residual": 1e-9},
         draw=_draw_jcheck,
         evaluate=evaluate_jcheck,
     ),
     "chain": CheckSpec(
-        name="chain",
         trial_fraction=1.0,
         tolerances={
             "hp_exceeds_hq": 1e-10,
@@ -689,14 +684,12 @@ CHECK_SPECS = {
         rng_alias="jcheck",
     ),
     "klein": CheckSpec(
-        name="klein",
         trial_fraction=1.0,
         tolerances={"klein_violation": 1e-10, "self_rel_entropy": 1e-12},
         draw=_draw_klein,
         evaluate=evaluate_klein,
     ),
     "luders": CheckSpec(
-        name="luders",
         trial_fraction=1.0,
         tolerances={
             "entropy_drop": 1e-10,
@@ -708,7 +701,6 @@ CHECK_SPECS = {
         evaluate=evaluate_luders,
     ),
     "minimal": CheckSpec(
-        name="minimal",
         trial_fraction=1.0,
         tolerances={
             "identity_residual": 1e-9,
@@ -720,14 +712,12 @@ CHECK_SPECS = {
         evaluate=evaluate_minimal,
     ),
     "jarzynski": CheckSpec(
-        name="jarzynski",
         trial_fraction=0.3,
         tolerances={"jarzynski_gap": 1e-9},
         draw=_draw_jarzynski,
         evaluate=evaluate_jarzynski,
     ),
     "dilation": CheckSpec(
-        name="dilation",
         trial_fraction=0.3,
         tolerances={
             "s1_exceeds_s2": 1e-9,
@@ -744,7 +734,6 @@ CHECK_SPECS = {
         fixed=_swap_reset_extras,
     ),
     "counterexample": CheckSpec(
-        name="counterexample",
         trial_fraction=None,
         tolerances={
             "sigma_cluster_dev": 1e-12,

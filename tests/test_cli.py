@@ -105,11 +105,14 @@ class TestModelFile:
         assert "exactly the keys" in err
 
     def test_garbage_file(self, capsys, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, "jcheck", "--model", str(path))
-        assert code == 2
-        assert "error:" in err
+        path = tmp_path / "garbage.json"
+        # not JSON, not UTF-8, and nested too deeply to decode
+        for garbage in (b"{not json", b'{"pi": "\xff\xfe"}', b"[" * 100_000):
+            path.write_bytes(garbage)
+            for argv in (("jcheck", "--model", str(path)), ("suite", "--config", str(path))):
+                code, _, err = run_cli(capsys, *argv)
+                assert code == 2, (garbage[:10], argv)
+                assert err.startswith("error:") and "Traceback" not in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "jcheck", "--model", str(tmp_path / "nope.json"))

@@ -275,8 +275,9 @@ class TestRunCheck:
     def test_replay_every_check_kind(self, monkeypatch):
         spec = hn.CHECK_SPECS["dilation"]
 
+        @qm._one_at_a_time
         def failing_fixed():
-            return {**spec.fixed(), "swap_sigma_dev": 1.0}
+            return {**(yield from spec.fixed.steps()), "swap_sigma_dev": 1.0}
 
         # a failing fixed instance writes a trial -1 bundle, replayed through ``fixed``
         monkeypatch.setitem(
@@ -303,8 +304,9 @@ class TestRunCheck:
 
         spec = hn.CHECK_SPECS["klein"]
 
+        @qm._one_at_a_time
         def nan_evaluate(rho, sigma):
-            return {**spec.evaluate(rho, sigma), "klein_violation": math.nan}
+            return {**(yield from spec.evaluate.steps(rho, sigma)), "klein_violation": math.nan}
 
         monkeypatch.setitem(
             hn.CHECK_SPECS, "klein", dataclasses.replace(spec, evaluate=nan_evaluate)
@@ -329,8 +331,9 @@ class TestRunCheck:
             assert all(v == 2.0 for k, v in tolerances.items() if k != "non_minimal_trials")
         spec = hn.CHECK_SPECS["counterexample"]
 
+        @qm._one_at_a_time
         def judged_minimal():
-            return {**spec.evaluate(), "minimality_verdict": 1.0}
+            return {**(yield from spec.evaluate.steps()), "minimality_verdict": 1.0}
 
         monkeypatch.setitem(
             hn.CHECK_SPECS, "counterexample", dataclasses.replace(spec, evaluate=judged_minimal)
@@ -527,10 +530,11 @@ def _counting_spec(monkeypatch, name, calls, **raising):
         trial_of[id(inputs["model"])] = trial
         return inputs, counters
 
+    @qm._one_at_a_time
     def evaluate(**inputs):
         if raising.get("evaluate") == trial_of.get(id(inputs["model"]), -1):
             raise InputError("synthetic evaluation failure")
-        return spec.evaluate(**inputs)
+        return (yield from spec.evaluate.steps(**inputs))
 
     monkeypatch.setitem(
         hn.CHECK_SPECS, name, dataclasses.replace(spec, draw=draw, evaluate=evaluate)
@@ -658,21 +662,34 @@ class TestBatchedGeneration:
             for key in inputs:
                 assert _input_bits(inputs[key]) == _input_bits(alone[key]), (trial, key)
 
-    @pytest.mark.parametrize("names", STREAM_GROUPS, ids="-".join)
-    def test_suite_residuals_are_each_trial_evaluated_alone(self, names):
-        """A batch is evaluated side by side, bit for bit as ``evaluate`` on each trial alone."""
+    @pytest.mark.parametrize("names", STREAM_GROUPS + [("counterexample",)], ids="-".join)
+    def test_suite_residuals_are_each_trial_evaluated_alone(self, names, monkeypatch):
+        """A batch is evaluated side by side, bit for bit as ``evaluate`` on each trial alone;
+        the fixed instance that ``_outcome`` folds as trial -1, bit for bit as ``fixed``."""
+        def hexed(values):
+            return {k: float(v).hex() for k, v in values.items()}
+
         config = hn.ExperimentConfig(**self.CONFIG)
         stream = hn.CHECK_SPECS[names[0]].rng_alias or names[0]
         trials = range(hn.n_trials(names[0], config))
         records = hn._trial_records(names, config, trials)[0]
+        folded = []
+        record = hn._trial_record
+        monkeypatch.setattr(
+            hn, "_trial_record", lambda *args: folded.append(record(*args)) or folded[-1]
+        )
         for name in names:
             spec = hn.CHECK_SPECS[name]
             for trial, (residuals, _, _) in zip(trials, records[name]):
                 inputs, _ = spec.generate(hn.trial_rng(config.seed, stream, trial), config, trial)
-                alone = spec.evaluate(**inputs)
-                assert {k: float(v).hex() for k, v in residuals.items()} == {
-                    k: float(v).hex() for k, v in alone.items()
-                }, (name, trial)
+                assert hexed(residuals) == hexed(spec.evaluate(**inputs)), (name, trial)
+            folded.clear()
+            hn._outcome(name, config, records[name])
+            if spec.fixed is None:
+                assert folded == []
+            else:
+                ((residuals, _, _),) = folded
+                assert hexed(residuals) == hexed(spec.fixed()), name
 
     @pytest.mark.parametrize("name", ["klein", "luders"])
     def test_eigh_calls_do_not_grow_with_the_batch(self, monkeypatch, name):
@@ -819,8 +836,9 @@ PINNED_FIXED_BUNDLES = "37d1dd03dd254be340638399199f92c98fb4b39b57ae9a161b030261
 def test_fixed_instance_bundle_is_pinned(monkeypatch):
     spec = hn.CHECK_SPECS["dilation"]
 
+    @qm._one_at_a_time
     def failing_fixed():
-        return {**spec.fixed(), "swap_chain_violation": 1.0}
+        return {**(yield from spec.fixed.steps()), "swap_chain_violation": 1.0}
 
     monkeypatch.setitem(hn.CHECK_SPECS, "dilation", dataclasses.replace(spec, fixed=failing_fixed))
     config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=20, tol=1e-300)
