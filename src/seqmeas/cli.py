@@ -13,6 +13,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,18 +32,11 @@ def _fmt(x) -> str:
     return format(float(x), ".15g")
 
 
-def _parse_dims(text: str) -> tuple:
+def _parse_list(kind, what: str, text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad dims list {text!r}") from exc
-
-
-def _parse_betas(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad beta list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from exc
 
 
 def _env_seed() -> int | None:
@@ -72,12 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in _CHECK_COMMANDS:
         p = sub.add_parser(name, help=help_by_check[name])
-        p.add_argument("--dims", type=_parse_dims, default=None, metavar="2,4,8")
-        p.add_argument("--trials", type=int, default=None, metavar="N")
-        p.add_argument("--seed", type=int, default=None, metavar="S")
-        p.add_argument("--tol", type=float, default=None, metavar="T")
+        p.add_argument("--dims", type=partial(_parse_list, int, "dims"), metavar="2,4,8")
+        p.add_argument("--trials", type=int, metavar="N")
+        p.add_argument("--seed", type=int, metavar="S")
+        p.add_argument("--tol", type=float, metavar="T")
         if name == "jarzynski":
-            p.add_argument("--beta", type=_parse_betas, default=None, metavar="0.1,1,10")
+            p.add_argument("--beta", type=partial(_parse_list, float, "beta"), dest="beta_values",
+                           metavar="0.1,1,10")
         if name == "jcheck":
             p.add_argument(
                 "--model",
@@ -110,20 +106,12 @@ def _print_outcome(outcome: hn.CheckOutcome) -> None:
 
 
 def _config_for_check(name: str, args) -> hn.ExperimentConfig:
-    defaults = hn.acceptance_config()
-    seed = args.seed if args.seed is not None else _env_seed()
-    return hn.ExperimentConfig(
-        seed=defaults.seed if seed is None else seed,
-        dims=args.dims if args.dims is not None else defaults.dims,
-        trials=args.trials if args.trials is not None else defaults.trials,
-        tol=args.tol,
-        beta_values=(
-            args.beta
-            if name == "jarzynski" and getattr(args, "beta", None) is not None
-            else defaults.beta_values
-        ),
-        check_set=(name,),
-    )
+    """The config of the flags given; ``ExperimentConfig`` supplies the rest."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(hn.ExperimentConfig)}
+    if given["seed"] is None:
+        given["seed"] = _env_seed()
+    given["check_set"] = (name,)
+    return hn.ExperimentConfig(**{key: v for key, v in given.items() if v is not None})
 
 
 def _run_single_check(name: str, args) -> int:
@@ -217,7 +205,7 @@ def _run_suite(args) -> int:
         config = hn.ExperimentConfig.from_json(_read_json(args.config))
     env_seed = _env_seed()
     if env_seed is not None:
-        config = hn.ExperimentConfig.from_json({**config.to_json(), "seed": env_seed})
+        config = replace(config, seed=env_seed)
     report = hn.run_suite(config)
     for outcome in report.checks:
         _print_outcome(outcome)

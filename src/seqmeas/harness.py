@@ -52,7 +52,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -136,20 +136,14 @@ class ExperimentConfig:
             raise ConfigError("check_set must not be empty")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "tol": self.tol,
-            "beta_values": list(self.beta_values),
-            "check_set": list(self.check_set),
-        }
+        doc = asdict(self)
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = set(obj) - {"seed", "dims", "trials", "tol", "beta_values", "check_set"}
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**obj)
@@ -282,12 +276,16 @@ def random_unitary(dim: int, rng: np.random.Generator) -> qm.Unitary:
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    if dim < 1:
+        raise InputError("dim must be positive")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
 def random_pvm(dim: int, ranks, rng: np.random.Generator) -> qm.ProjectorFamily:
     """Random complete family with the given degeneracies."""
+    if dim < 1:
+        raise InputError("dim must be positive")
     ranks = [int(r) for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != dim:
         raise InputError(f"ranks {ranks} must be positive and sum to dim={dim}")
@@ -621,8 +619,8 @@ _CODECS = {
     "ancilla_family": ("ancilla_projectors", _projectors_to_json, qm.family_from_json),
     "u": ("u", _operator_to_json, qm.unitary_from_json),
     "u_total": ("u_total", _operator_to_json, qm.unitary_from_json),
-    "h0": ("h0", qm.matrix_to_json, qm.hermitian_from_json),
-    "h1": ("h1", qm.matrix_to_json, qm.hermitian_from_json),
+    "h0": ("h0", qm.matrix_to_json, qm.matrix_from_json),
+    "h1": ("h1", qm.matrix_to_json, qm.matrix_from_json),
     "beta": ("beta", float, _beta_from_json),
     "phi": ("phi", qm.pairs_to_json, functools.partial(qm.pairs_from_json, ndim=1)),
 }

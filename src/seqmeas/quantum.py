@@ -6,12 +6,15 @@ projector families), spectral eigenprojections, the Lueders channel,
 the construction of a :class:`~seqmeas.stat_model.SequentialModel` from
 quantum data, the two-point work protocol, and measurement dilation.
 Public constructors (and so JSON loading and unpickling) validate every
-axiom; families built from orthonormal columns are checked once, through
-``V†V = I``.  Trial generation validates densities and column families a
-stack at a time, bit for bit as one at a time, and forms an all-rank-one
-family's projectors in one batched ``(d, 1) @ (1, d)`` product.  Functions
-made with ``_one_at_a_time`` yield requests for stacked kernels (such as
-``spectral_projectors`` of a stack); :func:`_build` runs a batch of them.
+axiom; each single-comparison gate goes through ``_gate``, which passes
+only when ``residual < tol``, so a NaN fails.  A public family is checked
+as one ``(k, d, d)`` stack; families built from orthonormal columns are
+checked once, through ``V†V = I``.  Trial generation validates densities
+and column families a stack at a time, bit for bit as one at a time, and
+forms an all-rank-one family's projectors in one batched
+``(d, 1) @ (1, d)`` product.  Functions made with ``_one_at_a_time`` yield
+requests for stacked kernels (such as ``spectral_projectors`` of a stack);
+:func:`_build` runs a batch of them.
 ``ProjectorFamily(projectors)`` keeps its projectors as one read-only
 ``(k, d, d)`` array, ``stack``, and their ranks as ``degeneracies``; the
 Born, overlap and Lueders kernels are batched matmuls over ``stack``.  A
@@ -74,6 +77,8 @@ def _as_square_complex(a, what: str = "matrix", ndims=(2,)) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim not in ndims or arr.shape[-1] != arr.shape[-2]:
         raise ShapeError(f"{what} must be square, got shape {arr.shape}")
+    if not arr.shape[-1]:
+        raise ShapeError(f"{what} must have dimension at least 1")
     if not np.isfinite(arr.real).all() or not np.isfinite(arr.imag).all():
         raise InputError(f"{what} must have finite entries")
     return arr
@@ -83,6 +88,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _gate(residual, tol: float, message: str, constraint: str) -> None:
+    """Raise ``InvalidOperatorError`` unless ``residual < tol``, so a NaN fails."""
+    if not residual < tol:
+        raise InvalidOperatorError(message, constraint, residual)
 
 
 def _build(steps: list) -> list:
@@ -162,18 +173,13 @@ class DensityOperator:
 
         An error reports the stack's worst residual, the matrix's own for one matrix.
         """
-        herm = max_abs(ms - dagger(ms))
-        if not herm < HERMITIAN_TOL:
-            raise InvalidOperatorError("density operator is not Hermitian", "hermitian", herm)
+        _gate(max_abs(ms - dagger(ms)), HERMITIAN_TOL, "density operator is not Hermitian",
+              "hermitian")
         spectra = np.linalg.eigvalsh(ms)
-        min_eig = float(spectra.min())
-        if not min_eig > -PSD_TOL:
-            raise InvalidOperatorError(
-                "density operator is not positive semidefinite", "positive", -min_eig
-            )
+        _gate(-float(spectra.min()), PSD_TOL, "density operator is not positive semidefinite",
+              "positive")
         trace_dev = float(np.abs(np.trace(ms, axis1=-2, axis2=-1).real - 1.0).max())
-        if not trace_dev < TRACE_TOL:
-            raise InvalidOperatorError("density operator trace is not one", "unit_trace", trace_dev)
+        _gate(trace_dev, TRACE_TOL, "density operator trace is not one", "unit_trace")
         spectra.setflags(write=False)
         return spectra
 
@@ -200,8 +206,7 @@ class Unitary:
     def __post_init__(self):
         m = _as_square_complex(self.matrix, "unitary")
         dev = max_abs(dagger(m) @ m - np.eye(m.shape[0]))
-        if not dev < UNITARY_TOL:
-            raise InvalidOperatorError("matrix is not unitary", "unitary", dev)
+        _gate(dev, UNITARY_TOL, "matrix is not unitary", "unitary")
         object.__setattr__(self, "matrix", _frozen(m))
 
     def __reduce__(self):
@@ -228,44 +233,34 @@ class ProjectorFamily:
     projectors: tuple
 
     def __post_init__(self):
-        projs = tuple(_as_square_complex(p, "projector") for p in self.projectors)
+        projs = [_as_square_complex(p, "projector") for p in self.projectors]
         if not projs:
             raise ShapeError("projector family must be non-empty")
-        dim = projs[0].shape[0]
-        if any(p.shape[0] != dim for p in projs):
+        if any(p.shape != projs[0].shape for p in projs):
             raise ShapeError("all projectors must share one dimension")
-        for k, p in enumerate(projs):
-            idem = max_abs(p @ p - p)
-            if not idem < PROJECTOR_TOL:
-                raise InvalidOperatorError(
-                    f"projector {k} is not idempotent", "idempotent", idem
-                )
-            herm = max_abs(p - dagger(p))
-            if not herm < PROJECTOR_TOL:
-                raise InvalidOperatorError(
-                    f"projector {k} is not Hermitian", "hermitian", herm
-                )
-        for a in range(len(projs)):
-            for b in range(a + 1, len(projs)):
-                ortho = max_abs(projs[a] @ projs[b])
-                if not ortho < PROJECTOR_TOL:
-                    raise InvalidOperatorError(
-                        f"projectors {a} and {b} are not orthogonal", "orthogonal", ortho
-                    )
-        completeness = max_abs(sum(projs) - np.eye(dim))
-        if not completeness < PROJECTOR_TOL:
+        s = np.stack(projs)
+        # argmin finds the first projector (then pair) that fails a check, NaN included
+        idem = np.abs(s @ s - s).max(axis=(1, 2))
+        herm = np.abs(s - dagger(s)).max(axis=(1, 2))
+        k = int(np.argmin((idem < PROJECTOR_TOL) & (herm < PROJECTOR_TOL)))
+        _gate(idem[k], PROJECTOR_TOL, f"projector {k} is not idempotent", "idempotent")
+        _gate(herm[k], PROJECTOR_TOL, f"projector {k} is not Hermitian", "hermitian")
+        for a in range(len(s) - 1):
+            ortho = np.abs(s[a] @ s[a + 1 :]).max(axis=(1, 2))
+            b = int(np.argmin(ortho < PROJECTOR_TOL))
+            _gate(ortho[b], PROJECTOR_TOL, f"projectors {a} and {a + 1 + b} are not orthogonal",
+                  "orthogonal")
+        _gate(max_abs(sum(s) - np.eye(s.shape[1])), PROJECTOR_TOL,
+              "projectors do not sum to the identity", "complete")
+        traces = np.trace(s, axis1=1, axis2=2).real
+        ranks = np.round(traces)
+        off = np.abs(traces - ranks)
+        k = int(np.argmin((off < DEGENERACY_TOL) & (ranks >= 1)))
+        if not (off[k] < DEGENERACY_TOL and ranks[k] >= 1):
             raise InvalidOperatorError(
-                "projectors do not sum to the identity", "complete", completeness
+                f"projector {k} has non-integer rank", "integer_degeneracy", off[k]
             )
-        degs = []
-        for k, p in enumerate(projs):
-            t = float(np.trace(p).real)
-            if not abs(t - round(t)) < DEGENERACY_TOL or round(t) < 1:
-                raise InvalidOperatorError(
-                    f"projector {k} has non-integer rank", "integer_degeneracy", abs(t - round(t))
-                )
-            degs.append(int(round(t)))
-        self._hold(np.stack(projs), degs)
+        self._hold(s, ranks)
 
     def _hold(self, stack: np.ndarray, degeneracies) -> None:
         stack.setflags(write=False)
@@ -290,8 +285,7 @@ class ProjectorFamily:
         """
         d = vs.shape[-1]
         dev = float(np.abs(dagger(vs) @ vs - np.eye(d)).max())
-        if not dev < PROJECTOR_TOL / d**2:
-            raise InvalidOperatorError("columns are not orthonormal", "orthonormal", dev)
+        _gate(dev, PROJECTOR_TOL / d**2, "columns are not orthonormal", "orthonormal")
         out = []
         for v, w in zip(vs, widths):
             if len(w) == d:  # all rank one: one batched (d, 1) @ (1, d) product
@@ -706,14 +700,6 @@ def density_from_json(obj: dict) -> DensityOperator:
 
 def unitary_from_json(obj: dict) -> Unitary:
     return Unitary(matrix_from_json(obj))
-
-
-def hermitian_from_json(obj: dict) -> np.ndarray:
-    m = matrix_from_json(obj)
-    dev = max_abs(m - dagger(m))
-    if not dev < HERMITIAN_TOL:
-        raise InvalidOperatorError("matrix is not Hermitian", "hermitian", dev)
-    return m
 
 
 def family_from_json(objs) -> ProjectorFamily:

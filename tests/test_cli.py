@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
 
+import seqmeas.harness as hn
 from seqmeas.cli import main
 
 
@@ -202,3 +204,67 @@ class TestSuite:
         code, _, err = run_cli(capsys, "suite", "--config", str(config_path))
         assert code == 2
         assert "error:" in err
+
+
+CHECK_COMMANDS = ("jcheck", "chain", "klein", "luders", "minimal", "jarzynski", "dilation")
+
+
+class TestConfigs:
+    """Each command runs the acceptance config with its given flags and SEQMEAS_SEED applied."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+
+        def run_check(name, config):
+            seen.append(config)
+            return hn.CheckOutcome(name, 0, {}, {}, {}, [], 0.0, True)
+
+        def run_suite(config):
+            seen.append(config)
+            return hn.ExperimentReport(config, [], 0.0, True)
+
+        monkeypatch.setattr(hn, "run_check", run_check)
+        monkeypatch.setattr(hn, "run_suite", run_suite)
+        monkeypatch.delenv("SEQMEAS_SEED", raising=False)
+        return seen
+
+    @pytest.mark.parametrize("name", CHECK_COMMANDS)
+    def test_check_flags_land_in_their_fields(self, capsys, monkeypatch, configs, name):
+        base = dataclasses.replace(hn.acceptance_config(), check_set=(name,))
+        flags = {"--seed": ("9", "seed", 9), "--dims": ("2,5", "dims", (2, 5)),
+                 "--trials": ("7", "trials", 7), "--tol": ("1e-6", "tol", 1e-6)}
+        if name == "jarzynski":
+            flags["--beta"] = ("0.5,2", "beta_values", (0.5, 2.0))
+        cases = [([], {})] + [([flag, text], {field: value})
+                              for flag, (text, field, value) in flags.items()]
+        cases.append(([arg for flag, (text, _, _) in flags.items() for arg in (flag, text)],
+                      {field: value for _, field, value in flags.values()}))
+        for argv, fields in cases:
+            assert run_cli(capsys, name, *argv)[0] == 0
+            assert configs.pop() == dataclasses.replace(base, **fields), argv
+        monkeypatch.setenv("SEQMEAS_SEED", "777")
+        for argv, seed in (([], 777), (["--seed", "9"], 9)):
+            assert run_cli(capsys, name, *argv)[0] == 0
+            assert configs.pop() == dataclasses.replace(base, seed=seed)
+
+    def test_suite_applies_the_env_seed(self, capsys, tmp_path, monkeypatch, configs):
+        config_path = tmp_path / "config.json"
+        doc = {"seed": 12, "dims": [2, 3], "trials": 6, "check_set": ["klein"]}
+        config_path.write_text(json.dumps(doc))
+        from_file = hn.ExperimentConfig.from_json(doc)
+        for argv, want in (([], hn.acceptance_config()),
+                           (["--config", str(config_path)], from_file)):
+            assert run_cli(capsys, "suite", *argv)[0] == 0
+            assert configs.pop() == want
+            monkeypatch.setenv("SEQMEAS_SEED", "777")
+            assert run_cli(capsys, "suite", *argv)[0] == 0
+            assert configs.pop() == dataclasses.replace(want, seed=777)
+            monkeypatch.delenv("SEQMEAS_SEED")
+
+    def test_list_flags_name_the_bad_text(self, capsys):
+        for argv, message in ((["jcheck", "--dims", "two"], "bad dims list 'two'"),
+                              (["jarzynski", "--beta", "0.5,hot"], "bad beta list '0.5,hot'")):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2 and message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for the finite-dimensional quantum layer."""
 
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import seqmeas.entropy as ent
+import seqmeas.harness as hn
 import seqmeas.quantum as qm
 import seqmeas.stat_model as sm
 from seqmeas.entropy import von_neumann_entropy
@@ -18,7 +20,13 @@ from seqmeas.errors import (
     InvalidOperatorError,
     ShapeError,
 )
-from seqmeas.harness import random_density, random_pvm, random_ranks, random_unitary
+from seqmeas.harness import (
+    random_density,
+    random_pvm,
+    random_ranks,
+    random_state_vector,
+    random_unitary,
+)
 
 LOG2 = math.log(2.0)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # |+><+|
@@ -80,6 +88,18 @@ class TestOperatorTypes:
         with pytest.raises(InvalidOperatorError) as err:
             qm.ProjectorFamily((p, np.eye(2) - p))
         assert err.value.constraint == "idempotent" and math.isnan(err.value.residual)
+
+    def test_zero_dimension_refused(self):
+        empty = np.zeros((0, 0))
+        for build in (qm.DensityOperator, qm.Unitary, qm.spectral_projectors,
+                      lambda m: qm.ProjectorFamily((m,))):
+            with pytest.raises(ShapeError, match="dimension at least 1"):
+                build(empty)
+        rng = rng_for("zero-dimension")
+        for draw in (lambda: random_pvm(0, [], rng), lambda: random_state_vector(0, rng),
+                     lambda: random_unitary(0, rng)):
+            with pytest.raises(InputError, match="dim must be positive"):
+                draw()
 
     def test_family_degeneracies(self):
         fam = qm.ProjectorFamily((np.diag([1, 1, 0, 0]).astype(complex),
@@ -640,16 +660,23 @@ class TestJsonFormat:
         fam = qm.family_from_json(docs)
         assert fam.degeneracies.tolist() == [1, 1]
 
+    @staticmethod
+    def jarzynski_bundle(h0_doc):
+        """A ``jarzynski`` failure bundle with the given ``h0`` document."""
+        docs = {"h1": qm.matrix_to_json(np.diag([0.0, 1.0])), "u": qm.matrix_to_json(np.eye(2))}
+        return {"check": "jarzynski", "trial": 0, "inputs": {"h0": h0_doc, **docs, "beta": 1.0}}
+
     def test_hermitian_load_rejects_non_hermitian(self):
+        # the protocol, not the loader, refuses a non-Hermitian h0
+        assert hn.replay_failure(self.jarzynski_bundle(qm.matrix_to_json(np.diag([0.0, 2.0]))))
         doc = qm.matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(InvalidOperatorError):
-            qm.hermitian_from_json(doc)
+        with pytest.raises(InputError, match="operator is not Hermitian"):
+            hn.replay_failure(self.jarzynski_bundle(doc))
 
     def test_hermitian_load_rejects_nan(self):
         doc = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
-        with pytest.raises(InvalidOperatorError) as err:
-            qm.hermitian_from_json(doc)
-        assert err.value.constraint == "hermitian" and math.isnan(err.value.residual)
+        with pytest.raises(InputError, match="operator must have finite entries"):
+            hn.replay_failure(self.jarzynski_bundle(doc))
 
 
 def assert_same_bits(got, want):
@@ -825,3 +852,184 @@ class TestPickle:
             with pytest.raises(InvalidOperatorError):
                 pickle.loads(payload.replace(array.tobytes(), tampered.tobytes()))
 
+
+def householder(dim, rng):
+    """A random Householder reflection ``I - 2 v v† / |v|²``."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return np.eye(dim) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def column_family(u, ranks):
+    """Projectors onto the consecutive column blocks of ``u`` with the given widths."""
+    stops = np.cumsum(ranks)
+    return [
+        sum(np.outer(u[:, j], u[:, j].conj()) for j in range(stop - rank, stop))
+        for stop, rank in zip(stops, ranks)
+    ]
+
+
+def hand_made_families():
+    """Named inputs of the public ``ProjectorFamily`` constructor, valid and not."""
+    rng = rng_for("family-errors")
+    e = np.eye(3)
+    non_hermitian = np.array([[1.0, 0.25], [0.0, 0.0]])  # idempotent, not Hermitian
+    v = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    y = 1e200 + 1e200j
+    overflow = np.array([[1.0, y], [np.conj(y), 0.0]])
+    u5, u8 = householder(5, rng), householder(8, rng)
+    turned = u5.copy()
+    turned[:, 0] = (u5[:, 0] + 1e-6 * u5[:, 1]) / math.sqrt(1.0 + 1e-12)
+    d8 = column_family(u8, [1] * 8)
+    h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    families = {
+        "computational": COMP_BASIS,
+        "diagonal_degenerate": tuple(np.diag(row) for row in ([1, 1, 0, 0], [0, 0, 1, 0],
+                                                              [0, 0, 0, 1])),
+        "real_plus": (PLUS.real, np.eye(2) - PLUS.real),
+        "householder_3": column_family(householder(3, rng), [1, 1, 1]),
+        "householder_5_degenerate": column_family(u5, [2, 3]),
+        "householder_8_degenerate": column_family(u8, [1, 2, 1, 4]),
+        "householder_8_perturbed_within_tol": [d8[0] + 1e-11 * np.ones((8, 8)), *d8[1:]],
+        "idempotent": (0.5 * np.eye(2), 0.5 * np.eye(2)),
+        "hermitian": (non_hermitian, np.eye(2) - non_hermitian),
+        "hermitian_before_idempotent": (
+            np.pad(non_hermitian, (0, 1)), 0.5 * np.diag([0.0, 1.0, 1.0]),
+            np.diag([0.0, 1.0, 1.0]) - np.pad(non_hermitian, (0, 1)),
+        ),
+        "orthogonal": (COMP_BASIS[0], COMP_BASIS[0]),
+        "orthogonal_first_of_two_pairs": (np.diag(e[0]), np.diag(e[1]), np.outer(v, v)),
+        "orthogonal_later_pair": (np.diag(e[0]), np.diag(e[1]), np.diag(e[1])),
+        "complete": (COMP_BASIS[0],),
+        "integer_degeneracy": (np.zeros((2, 2)), *COMP_BASIS),
+        "overflow": (overflow, np.eye(2) - overflow),
+        "nan": (np.diag([math.nan, 0.0]), COMP_BASIS[1]),
+        "empty": (),
+        "not_square": (np.zeros((2, 3)),),
+        "mixed_dims": (np.eye(2), np.eye(3)),
+        "householder_5_turned": column_family(turned, [1] * 5),
+        "householder_8_perturbed": [*d8[:2], d8[2] + 1e-8 * (h + h.conj().T), *d8[3:]],
+        "householder_8_non_hermitian_perturbed": [d8[0], d8[1] + 1e-7 * h, *d8[2:]],
+        # P + P X (1 - P) is idempotent but not Hermitian
+        "householder_8_oblique": [d8[0], d8[1] + 1e-7 * d8[1] @ h @ (np.eye(8) - d8[1]),
+                                  *d8[2:]],
+        "householder_8_incomplete": d8[:-1],
+    }
+    return {name: tuple(np.array(p) for p in projs) for name, projs in families.items()}
+
+
+def family_outcome(projectors):
+    """What the constructor gives: ranks and stack digest, or the error's every field."""
+    try:
+        fam = qm.ProjectorFamily(projectors)
+    except (InvalidOperatorError, InputError, ShapeError) as exc:
+        residual = getattr(exc, "residual", None)
+        return (type(exc).__name__, getattr(exc, "constraint", None), str(exc),
+                None if residual is None else float.hex(residual))
+    return (fam.degeneracies.tolist(), hashlib.sha256(fam.stack.tobytes()).hexdigest()[:16])
+
+
+FAMILY_OUTCOMES = {
+    "computational": ([1, 1], "f46960f0b1794020"),
+    "diagonal_degenerate": ([2, 1, 1], "b7fa14964d78bc02"),
+    "real_plus": ([1, 1], "3ad74086573029aa"),
+    "householder_3": ([1, 1, 1], "367624549fd94d73"),
+    "householder_5_degenerate": ([2, 3], "85407669f257e4ff"),
+    "householder_8_degenerate": ([1, 2, 1, 4], "ff7d16f3b6a145d6"),
+    "householder_8_perturbed_within_tol": ([1, 1, 1, 1, 1, 1, 1, 1], "70b686db950a75f6"),
+    "idempotent": (
+        "InvalidOperatorError", "idempotent",
+        "projector 0 is not idempotent [constraint=idempotent, residual=2.500e-01]",
+        "0x1.0000000000000p-2",
+    ),
+    "hermitian": (
+        "InvalidOperatorError", "hermitian",
+        "projector 0 is not Hermitian [constraint=hermitian, residual=2.500e-01]",
+        "0x1.0000000000000p-2",
+    ),
+    "hermitian_before_idempotent": (
+        "InvalidOperatorError", "hermitian",
+        "projector 0 is not Hermitian [constraint=hermitian, residual=2.500e-01]",
+        "0x1.0000000000000p-2",
+    ),
+    "orthogonal": (
+        "InvalidOperatorError", "orthogonal",
+        "projectors 0 and 1 are not orthogonal [constraint=orthogonal, residual=1.000e+00]",
+        "0x1.0000000000000p+0",
+    ),
+    "orthogonal_first_of_two_pairs": (
+        "InvalidOperatorError", "orthogonal",
+        "projectors 0 and 2 are not orthogonal [constraint=orthogonal, residual=5.000e-01]",
+        "0x1.ffffffffffffep-2",
+    ),
+    "orthogonal_later_pair": (
+        "InvalidOperatorError", "orthogonal",
+        "projectors 1 and 2 are not orthogonal [constraint=orthogonal, residual=1.000e+00]",
+        "0x1.0000000000000p+0",
+    ),
+    "complete": (
+        "InvalidOperatorError", "complete",
+        "projectors do not sum to the identity [constraint=complete, residual=1.000e+00]",
+        "0x1.0000000000000p+0",
+    ),
+    "integer_degeneracy": (
+        "InvalidOperatorError", "integer_degeneracy",
+        "projector 0 has non-integer rank [constraint=integer_degeneracy, residual=0.000e+00]",
+        "0x0.0p+0",
+    ),
+    "overflow": (
+        "InvalidOperatorError", "idempotent",
+        "projector 0 is not idempotent [constraint=idempotent, residual=nan]",
+        "nan",
+    ),
+    "nan": (
+        "InputError", None,
+        "projector must have finite entries",
+        None,
+    ),
+    "empty": (
+        "ShapeError", None,
+        "projector family must be non-empty",
+        None,
+    ),
+    "not_square": (
+        "ShapeError", None,
+        "projector must be square, got shape (2, 3)",
+        None,
+    ),
+    "mixed_dims": (
+        "ShapeError", None,
+        "all projectors must share one dimension",
+        None,
+    ),
+    "householder_5_turned": (
+        "InvalidOperatorError", "orthogonal",
+        "projectors 0 and 1 are not orthogonal [constraint=orthogonal, residual=4.421e-07]",
+        "0x1.dab4205c80050p-22",
+    ),
+    "householder_8_perturbed": (
+        "InvalidOperatorError", "idempotent",
+        "projector 2 is not idempotent [constraint=idempotent, residual=2.905e-08]",
+        "0x1.f3041270f4c65p-26",
+    ),
+    "householder_8_non_hermitian_perturbed": (
+        "InvalidOperatorError", "idempotent",
+        "projector 1 is not idempotent [constraint=idempotent, residual=2.609e-07]",
+        "0x1.183060b080eaep-22",
+    ),
+    "householder_8_oblique": (
+        "InvalidOperatorError", "hermitian",
+        "projector 1 is not Hermitian [constraint=hermitian, residual=1.562e-07]",
+        "0x1.4f6e68aa3c22ep-23",
+    ),
+    "householder_8_incomplete": (
+        "InvalidOperatorError", "complete",
+        "projectors do not sum to the identity [constraint=complete, residual=9.843e-01]",
+        "0x1.f7fa02f665f7cp-1",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(FAMILY_OUTCOMES))
+def test_public_family_outcomes_are_pinned(name):
+    assert family_outcome(hand_made_families()[name]) == FAMILY_OUTCOMES[name]
