@@ -11,19 +11,18 @@ that (their acceptance budgets are 300 against 1000); ``counterexample``
 is a single fixed instance.  ``chain`` evaluates the very models of
 ``jcheck``: its ``rng_alias`` names the trial stream of ``jcheck``.
 
-Generation has two stages.  A check's ``draw`` is a generator function
-that consumes its trial's whole stream, with no linear algebra, up to a
-bare ``yield``; the rest of it is the trial's build, which yields requests
-for stacked kernels.  :func:`_build` answers a batch of builds' requests a
-stack per kernel and array shape, bit for bit as one at a time, so how
-trials are batched never changes a report.  Evaluation runs stacked too,
-bit for bit as one operator at a time: every ``evaluate`` and ``fixed`` is
-made with ``_one_at_a_time``, and the suite runs their steps through :func:`_build`.
+A check's ``draw`` is a generator function of steps: it draws from its
+trial's own stream and yields requests for stacked kernels, which draw
+nothing.  :func:`_build` answers a batch of draws' requests a stack per
+kernel and array shape, bit for bit as one at a time, so how trials are
+batched never changes a report.  Evaluation runs stacked too, bit for bit
+as one operator at a time: every ``evaluate`` and ``fixed`` is made with
+``_one_at_a_time``, and the suite runs their steps through :func:`_build`.
 
 Dispatch: checks that share a trial stream form a group.  One loop,
-``_trial_records``, draws each trial of a group once, builds the draws in
-batches of bounded size, evaluates each batch per check and makes one record
-per check and trial with ``_trial_record`` (residuals, counters, failure
+``_trial_records``, draws and builds each trial of a group once, in batches
+of bounded size, evaluates each batch per check and makes one record per
+check and trial with ``_trial_record`` (residuals, counters, failure
 bundle or None).
 ``_outcome`` adds a check's fixed instance as trial -1 and folds its records.
 ``_run_group`` runs the loop over a group's trials in contiguous chunks,
@@ -337,7 +336,6 @@ def _draw_model(rng: np.random.Generator, dim: int, force_zero: bool):
     ranks2 = random_ranks(dim, rng, degenerate=bool(rng.integers(2)))
     g2 = _gaussian(rng, dim, dim)
     p_tilde = rng.dirichlet(np.ones(len(ranks2)))
-    yield
     fam1 = yield _pvms, g1, ranks1
     mixture = (weights / fam1.degeneracies)[:, None, None] * fam1.stack
     rho0 = yield qm.DensityOperator._stack, mixture.sum(axis=0)
@@ -358,16 +356,9 @@ def _require_valid(model: sm.SequentialModel) -> sm.SequentialModel:
     return model
 
 
-def _drawn(draw, *args):
-    """The build of a draw: ``draw(*args)`` run up to its bare ``yield``, its stream consumed."""
-    build = draw(*args)
-    next(build)
-    return build
-
-
 def _built(draw, *args):
     """The instance ``draw(*args)`` builds alone; its error is raised."""
-    return _alone(_drawn(draw, *args))
+    return _alone(draw(*args))
 
 
 def _evaluated(evaluate, instances: list) -> list:
@@ -381,9 +372,7 @@ def _evaluated(evaluate, instances: list) -> list:
 
 def _draw_jcheck(rng, config, trial):
     dim = int(rng.choice(config.dims))
-    model = _drawn(_draw_model, rng, dim, trial % 5 == 0 and dim >= 2)
-    yield
-    model, zeroed = yield from model
+    model, zeroed = yield from _draw_model(rng, dim, trial % 5 == 0 and dim >= 2)
     return {"model": _require_valid(model)}, {"zero_x_trials": 1.0 if zeroed else 0.0}
 
 
@@ -421,7 +410,6 @@ def _draw_klein(rng, config, trial):
         return dim if rng.random() < 0.7 else int(rng.integers(1, dim + 1))
     g_rho = _gaussian(rng, dim, pick_rank())
     g_sigma = _gaussian(rng, dim, pick_rank())
-    yield
     rho = yield from _density(g_rho)
     return {"rho": rho, "sigma": (yield from _density(g_sigma))}, {}
 
@@ -443,7 +431,6 @@ def _draw_luders(rng, config, trial):
     g_rho = _gaussian(rng, dim, rank)
     ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
     g_v = _gaussian(rng, dim, dim)
-    yield
     return {"rho": (yield from _density(g_rho)), "family": (yield _pvms, g_v, ranks)}, {}
 
 
@@ -474,12 +461,10 @@ def evaluate_minimal(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dic
 def _draw_jarzynski(rng, config, trial):
     dim = int(rng.choice([d for d in config.dims if 2 <= d <= 6] or [2]))
     beta = config.beta_values[trial % len(config.beta_values)]
-    h0 = _drawn(_draw_grounded_hermitian, rng, dim)
-    h1 = _drawn(_draw_grounded_hermitian, rng, dim)
-    g_u = _gaussian(rng, dim, dim)
-    yield
-    inputs = {"h0": (yield from h0), "h1": (yield from h1)}
-    return {**inputs, "u": qm.Unitary((yield _haar, g_u)), "beta": float(beta)}, {}
+    h0 = yield from _draw_grounded_hermitian(rng, dim)
+    h1 = yield from _draw_grounded_hermitian(rng, dim)
+    u = qm.Unitary((yield _haar, _gaussian(rng, dim, dim)))
+    return {"h0": h0, "h1": h1, "u": u, "beta": float(beta)}, {}
 
 
 def _draw_grounded_hermitian(rng, dim):
@@ -491,9 +476,7 @@ def _draw_grounded_hermitian(rng, dim):
     """
     eigs = rng.uniform(-2.0, 2.0, dim)
     eigs = eigs - (eigs.min() + 2.0)
-    g = _gaussian(rng, dim, dim)
-    yield
-    v = yield _haar, g
+    v = yield _haar, _gaussian(rng, dim, dim)
     h = (v * eigs[np.newaxis, :]) @ v.conj().T
     return 0.5 * (h + h.conj().T)
 
@@ -511,7 +494,6 @@ def _draw_dilation(rng, config, trial):
     ranks = random_ranks(dim, rng, degenerate=bool(trial % 2))
     g_v = _gaussian(rng, dim, dim)
     phi = random_state_vector(dim, rng)
-    yield
     rho = yield from _density(g_rho)
     u_total = qm.Unitary((yield _haar, g_u))
     family = yield _pvms, g_v, ranks
@@ -557,8 +539,8 @@ def _swap_reset_extras() -> dict:
 
 
 def _draw_counterexample(rng, config, trial):
-    yield
     return {}, {}
+    yield  # no request: a generator function like every draw
 
 
 #: sigma's clusters in ascending order: eigenvalue, degeneracy, Tr(rho Q), Tr(sigma Q)
@@ -646,7 +628,7 @@ def _deserialize(evaluate, obj) -> dict:
 class CheckSpec:
     trial_fraction: float | None  # None: single fixed instance
     tolerances: dict
-    draw: object  # (rng, config, trial) -> its stream's draws, a bare yield, then their build
+    draw: object  # generator function (rng, config, trial) that draws and builds (inputs, counters)
     evaluate: object  # steps of (**inputs) -> residuals; its parameter names key the bundle codec
     rng_alias: str | None = None
     fixed: object | None = None  # steps of () -> residuals of trial -1; ``evaluate`` does the rest
@@ -768,13 +750,13 @@ _BUILD_TRIALS = 256
 def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
     """``(records, seconds)`` of a stream group's trials, each keyed by check name.
 
-    The first check's ``draw`` consumes each trial's stream once, one
-    :func:`_build` per batch of trials turns their draws into instances, and
+    One :func:`_build` per batch of trials runs the first check's ``draw``
+    of each, on the trial's own stream, into an instance or its error, and
     each check evaluates the batch side by side (:func:`_evaluated`).  A
     check's records are one ``(residuals, generated counters, failure bundle
     or None)`` per trial, in order; its seconds are its time in the loop, the
-    draws and the builds counted for the first check.  Worker processes run
-    the loop too, so it takes only picklable arguments.
+    draws counted for the first check.  Worker processes run the loop too, so
+    it takes only picklable arguments.
     """
     first = CHECK_SPECS[names[0]]
     stream = first.rng_alias or names[0]
@@ -785,13 +767,7 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
     started = time.perf_counter()
     size = max(1, _BUILD_TRIALS * 8**3 // max(8, *config.dims) ** 3)
     for batch in (trials[lo : lo + size] for lo in range(0, len(trials), size)):
-        draws = []
-        for trial in batch:
-            rng = trial_rng(config.seed, stream, trial)
-            try:
-                draws.append(_drawn(first.draw, rng, config, trial))
-            except (SeqMeasError, np.linalg.LinAlgError) as exc:
-                draws.append(exc)
+        draws = [first.draw(trial_rng(config.seed, stream, t), config, t) for t in batch]
         instances = _build(draws)
         for name in names:
             evaluations = _evaluated(CHECK_SPECS[name].evaluate, instances)
@@ -886,16 +862,22 @@ def _worker_pool(workers: int):
     """Spawned worker processes, each with BLAS pinned to one thread.
 
     The workers share the CPUs; a BLAS thread pool in each would
-    oversubscribe them.  ``os.environ`` is restored when the pool closes.
+    oversubscribe them.  ``os.environ`` is restored when the pool closes.  A
+    worker that dies, as one re-importing an unguarded script, raises ``SeqMeasError``.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             yield pool
+    except BrokenProcessPool as exc:
+        raise SeqMeasError(
+            'a worker died; a script that runs the suite needs an if __name__ == "__main__": guard'
+        ) from exc
     finally:
         for key, value in saved.items():
             if value is None:

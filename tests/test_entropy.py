@@ -312,3 +312,15 @@ class TestEntropyReport:
         report = ent.entropy_report(rho, sigma)
         assert math.isinf(report.rel_entropy)
         assert report.to_json()["rel_entropy"] == "inf"
+
+    @pytest.mark.parametrize(
+        "s, infinite, near_boundary",
+        [(1e-12, True, False), (5e-12, False, True), (1e-11, False, True), (1.1e-11, False, False)],
+    )
+    def test_support_boundary_flag(self, s, infinite, near_boundary):
+        """rho = I/2 against sigma = diag(1 - s, s): s <= SUPPORT_EPS counts as zero, and
+        SUPPORT_EPS < s <= 10 SUPPORT_EPS is finite but flagged as near the cutoff."""
+        rho = qm.DensityOperator(np.eye(2) / 2)
+        report = ent.entropy_report(rho, qm.DensityOperator(np.diag([1 - s, s])))
+        assert math.isinf(report.rel_entropy) is infinite
+        assert report.residuals.get("near_support_boundary") == (1.0 if near_boundary else None)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -470,7 +471,7 @@ class TestRunCheck:
         def broken_draw(rng, config, trial):
             if trial == 1:
                 raise InputError("synthetic generation failure")
-            return spec.draw(rng, config, trial)
+            return (yield from spec.draw(rng, config, trial))
 
         monkeypatch.setitem(
             hn.CHECK_SPECS, "klein", dataclasses.replace(spec, draw=broken_draw)
@@ -652,8 +653,8 @@ class TestBatchedGeneration:
         spec = hn.CHECK_SPECS[name]
         stream = spec.rng_alias or name
         trials = range(hn.n_trials(name, config))
-        draws = [hn._drawn(spec.draw, hn.trial_rng(config.seed, stream, t), config, t)
-                 for t in trials]
+        assert all(inspect.isgeneratorfunction(s.draw) for s in hn.CHECK_SPECS.values())
+        draws = [spec.draw(hn.trial_rng(config.seed, stream, t), config, t) for t in trials]
         for trial, (inputs, counters) in zip(trials, hn._build(draws)):
             alone, alone_counters = spec.generate(hn.trial_rng(config.seed, stream, trial),
                                                   config, trial)
@@ -708,8 +709,7 @@ class TestBatchedGeneration:
         """Klein's densities of one d are checked in one stack per round, whatever their ranks."""
         config = hn.ExperimentConfig(seed=41, dims=(3,), trials=40)
         spec = hn.CHECK_SPECS["klein"]
-        draws = [hn._drawn(spec.draw, hn.trial_rng(config.seed, "klein", t), config, t)
-                 for t in range(40)]
+        draws = [spec.draw(hn.trial_rng(config.seed, "klein", t), config, t) for t in range(40)]
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
@@ -747,7 +747,7 @@ class TestBatchedGeneration:
 
         def draw(rng, config, trial):
             poison[:] = [trial == bad]
-            return spec.draw(rng, config, trial)
+            return (yield from spec.draw(rng, config, trial))
 
         monkeypatch.setattr(hn, "_gaussian", nan_first_block)
         monkeypatch.setitem(hn.CHECK_SPECS, names[0], dataclasses.replace(spec, draw=draw))
@@ -894,19 +894,22 @@ class TestParallelSuite:
         assert pools == [(2,)]
         assert dict(os.environ) == before
 
-    def test_cli_suite_in_a_fresh_interpreter(self, tmp_path):
-        # start-method mistakes only show up in a new process
-        config = {"seed": 9, "dims": [2, 3], "trials": 6}
-        (tmp_path / "config.json").write_text(json.dumps(config))
+    @staticmethod
+    def _python(tmp_path, *args):
+        """``python *args`` in a fresh interpreter in ``tmp_path``, with this package importable."""
         src = os.path.dirname(os.path.dirname(hn.__file__))
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": pythonpath}
         env.pop("SEQMEAS_SEED", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqmeas.cli", "suite", "--config", "config.json",
-             "--out", "report.json"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_cli_suite_in_a_fresh_interpreter(self, tmp_path):
+        # start-method mistakes only show up in a new process
+        config = {"seed": 9, "dims": [2, 3], "trials": 6}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        proc = self._python(tmp_path, "-m", "seqmeas.cli", "suite", "--config", "config.json",
+                            "--out", "report.json")
         assert proc.returncode == 0, proc.stderr
         written = json.loads((tmp_path / "report.json").read_text())
         written.pop("duration_seconds")
@@ -914,3 +917,18 @@ class TestParallelSuite:
             check.pop("duration_seconds")
         expected = _in_process_fingerprint(hn.ExperimentConfig.from_json(config))
         assert _sha256(json.dumps(written, sort_keys=True)) == expected
+
+    def test_unguarded_script_raises_seqmeas_error(self, tmp_path):
+        """Each spawned worker re-imports the script, which starts a pool while the worker
+        bootstraps; the worker dies, and the caller gets a ``SeqMeasError`` naming the guard."""
+        (tmp_path / "unguarded.py").write_text(
+            "import seqmeas.harness as hn\n"
+            "hn._cpu_count = lambda: 2\n"
+            "hn.run_suite(hn.ExperimentConfig(seed=1, dims=(2,), trials=3))\n"
+        )
+        proc = self._python(tmp_path, "unguarded.py")
+        assert proc.returncode != 0
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "seqmeas.errors.SeqMeasError: a worker died; a script that runs the suite"
+            ' needs an if __name__ == "__main__": guard'
+        )

@@ -236,6 +236,7 @@ class TestModifiedShannonEntropy:
         assert sm.modified_shannon_entropy([0.0, 1.0], [0.0, 2.0]) == pytest.approx(
             LOG2, abs=1e-15
         )
+        assert sm.modified_shannon_entropy([0.0], [1.0]) == 0.0  # an empty support
 
     def test_errors(self):
         with pytest.raises(InputError):
