@@ -27,9 +27,7 @@ _CHECK_COMMANDS = tuple(n for n, spec in hn.CHECK_SPECS.items() if spec.trial_fr
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".15g")
+    return format(float(x), ".15g")  # also "inf", "-inf" and "nan"
 
 
 def _parse_list(kind, what: str, text: str) -> tuple:
@@ -114,13 +112,6 @@ def _config_for_check(name: str, args) -> hn.ExperimentConfig:
     return hn.ExperimentConfig(**{key: v for key, v in given.items() if v is not None})
 
 
-def _run_single_check(name: str, args) -> int:
-    config = _config_for_check(name, args)
-    outcome = hn.run_check(name, config)
-    _print_outcome(outcome)
-    return 0 if outcome.passed else 1
-
-
 def _read_json(path: str):
     """The JSON document in ``path``; undecodable or too deeply nested text is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -141,7 +132,9 @@ def _run_model_file(path: str, config: hn.ExperimentConfig) -> int:
         return 1
     gates = hn._gates(hn.CHECK_SPECS["jcheck"].tolerances, config.tol)
     # a valid model evaluates without error, so the record always holds its residuals
-    residuals, _, failure = hn._trial_record(gates, {"check": "jcheck"}, ({"model": model}, {}))
+    residuals, _, failure = hn._trial_record(
+        gates, {"check": "jcheck"}, ({"model": model}, {}), hn.evaluate_jcheck(model)
+    )
     for key, value in residuals.items():
         print(f"  {key:<24} {_fmt(value)}")
     chain = sm.entropy_chain(model)
@@ -151,16 +144,9 @@ def _run_model_file(path: str, config: hn.ExperimentConfig) -> int:
 
 
 def _matrix_lines(m: np.ndarray) -> list:
-    lines = []
-    for row in m:
-        cells = []
-        for z in row:
-            if abs(z.imag) < 1e-15:
-                cells.append(_fmt(z.real))
-            else:
-                cells.append(f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j")
-        lines.append("  [" + ", ".join(cells) + "]")
-    return lines
+    """One line per row of real parts: the counterexample's rho and sigma, the only
+    matrices printed, have imaginary parts of exactly 0.0."""
+    return ["  [" + ", ".join(_fmt(z.real) for z in row) + "]" for row in m]
 
 
 def _run_counterexample(args) -> int:
@@ -187,10 +173,9 @@ def _run_counterexample(args) -> int:
     print("\n".join(_matrix_lines(sigma.matrix)))
     print(f"S(rho)        = {_fmt(report.s_rho / unit)} {unit_name}")
     print(f"S(sigma)      = {_fmt(report.s_sigma / unit)} {unit_name}")
-    rel = report.rel_entropy
-    print(f"S(rho||sigma) = {'inf' if math.isinf(rel) else _fmt(rel / unit)} {unit_name}")
-    print(f"identity |S(rho||sigma) - (S(sigma)-S(rho))| = "
-          f"{_fmt(abs(rel - report.gap) / unit)} {unit_name}")
+    print(f"S(rho||sigma) = {_fmt(report.rel_entropy / unit)} {unit_name}")
+    identity = report.residuals.get("minimal_identity", math.inf)
+    print(f"identity |S(rho||sigma) - (S(sigma)-S(rho))| = {_fmt(identity / unit)} {unit_name}")
     verdict = "minimal" if report.is_minimal else "not minimal"
     print(f"pair is {verdict}; per-cluster (eigenvalue, q, p_tilde):")
     for ev, qv, pv in zip(minimality.eigenvalues, minimality.q, minimality.p_tilde):
@@ -226,7 +211,9 @@ def main(argv=None) -> int:
         if args.command in _CHECK_COMMANDS:
             if args.command == "jcheck" and args.model is not None:
                 return _run_model_file(args.model, _config_for_check("jcheck", args))
-            return _run_single_check(args.command, args)
+            outcome = hn.run_check(args.command, _config_for_check(args.command, args))
+            _print_outcome(outcome)
+            return 0 if outcome.passed else 1
         if args.command == "counterexample":
             return _run_counterexample(args)
         return _run_suite(args)

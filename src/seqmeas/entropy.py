@@ -38,7 +38,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """-Tr(rho log rho) with 0 log 0 = 0; never negative."""
     eigs = rho.spectrum
     pos = eigs[eigs > 0.0]
-    s = float(-(pos * np.log(pos)).sum()) if pos.size else 0.0
+    s = float(-(pos * np.log(pos)).sum())
     return s if s > 0.0 else 0.0
 
 

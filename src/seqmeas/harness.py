@@ -641,9 +641,6 @@ class CheckSpec:
         if self.generate is None or getattr(self.generate, "func", None) is _built:
             object.__setattr__(self, "generate", functools.partial(_built, self.draw))
 
-    def evaluator(self, trial):
-        return self.fixed if trial == -1 else self.evaluate
-
 
 CHECK_SPECS = {
     "jcheck": CheckSpec(
@@ -779,12 +776,9 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
     return records, seconds
 
 
-def _trial_record(tolerances: dict, bundle: dict, instance, residuals=None) -> tuple:
+def _trial_record(tolerances: dict, bundle: dict, instance, residuals) -> tuple:
     """Record of the check and trial ``bundle`` names, from ``(inputs, counters)`` or its error,
-    and from its ``residuals`` or their error, evaluated here alone if None."""
-    spec = CHECK_SPECS[bundle["check"]]
-    if residuals is None:
-        (residuals,) = _evaluated(spec.evaluator(bundle.get("trial")), [instance])
+    and from its ``residuals`` or their error."""
     if isinstance(residuals, Exception):
         # a broken instance aborts its trial, never the run, and
         # leaves enough behind to regenerate it deterministically
@@ -794,7 +788,7 @@ def _trial_record(tolerances: dict, bundle: dict, instance, residuals=None) -> t
     if all(v <= tolerances[k] for k, v in residuals.items() if k in tolerances):  # False on nan
         return residuals, generated_counters, None
     bundle["residuals"] = {k: _json_float(v) for k, v in residuals.items()}
-    bundle["inputs"] = spec.serialize(**inputs)
+    bundle["inputs"] = CHECK_SPECS[bundle["check"]].serialize(**inputs)
     return residuals, generated_counters, bundle
 
 
@@ -803,7 +797,9 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
     spec = CHECK_SPECS[name]
     tolerances = _gates(spec.tolerances, config.tol)
     if spec.fixed is not None:  # the fixed instance is trial -1, folded last
-        records = [*records, _trial_record(tolerances, {"check": name, "trial": -1}, ({}, {}))]
+        (residuals,) = _evaluated(spec.fixed, [({}, {})])
+        fixed = _trial_record(tolerances, {"check": name, "trial": -1}, ({}, {}), residuals)
+        records = [*records, fixed]
     maxima = {k: 0.0 for k in tolerances}
     counters: dict = {}
     failures: list = []
@@ -859,7 +855,7 @@ def _pool_workers(n_checks: int) -> int:
 
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """Spawned worker processes, each with BLAS pinned to one thread.
+    """The ``map`` of spawned worker processes, each with BLAS pinned to one thread.
 
     The workers share the CPUs; a BLAS thread pool in each would
     oversubscribe them.  ``os.environ`` is restored when the pool closes.  A
@@ -873,7 +869,7 @@ def _worker_pool(workers: int):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
+            yield pool.map
     except BrokenProcessPool as exc:
         raise SeqMeasError(
             'a worker died; a script that runs the suite needs an if __name__ == "__main__": guard'
@@ -886,10 +882,10 @@ def _worker_pool(workers: int):
                 os.environ[key] = value
 
 
-def _run_group(pool, workers: int, names: tuple, config: ExperimentConfig) -> list:
+def _run_group(run, workers: int, names: tuple, config: ExperimentConfig) -> list:
     """The outcomes of one stream group, its trials run in contiguous chunks, four per worker.
 
-    ``pool`` runs the chunks in worker processes; ``None`` runs them here.
+    ``run`` maps the loop over the chunks: ``map`` here, a pool's in worker processes.
     The group's wall time is split between its checks by their seconds in
     the loop, so the checks' durations add up to it.
     """
@@ -897,7 +893,6 @@ def _run_group(pool, workers: int, names: tuple, config: ExperimentConfig) -> li
     trials = n_trials(names[0], config)
     size = -(-trials // (_CHUNKS_PER_WORKER * workers))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    run = map if pool is None else pool.map
     parts = list(run(_trial_records, [names] * len(chunks), [config] * len(chunks), chunks))
     outcomes = [_outcome(name, config, [r for rs, _ in parts for r in rs[name]]) for name in names]
     wall = time.perf_counter() - started
@@ -910,7 +905,7 @@ def _run_group(pool, workers: int, names: tuple, config: ExperimentConfig) -> li
 
 def run_check(name: str, config: ExperimentConfig) -> CheckOutcome:
     """Run one named check over its deterministic trial streams, in this process."""
-    return _run_group(None, 1, (name,), config)[0]
+    return _run_group(map, 1, (name,), config)[0]
 
 
 def run_suite(config: ExperimentConfig) -> ExperimentReport:
@@ -926,8 +921,8 @@ def run_suite(config: ExperimentConfig) -> ExperimentReport:
         if name in config.check_set:
             groups.setdefault(CHECK_SPECS[name].rng_alias or name, []).append(name)
     workers = _pool_workers(sum(map(len, groups.values())))
-    with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        checks = [c for g in groups.values() for c in _run_group(pool, workers, tuple(g), config)]
+    with _worker_pool(workers) if workers > 1 else contextlib.nullcontext(map) as run:
+        checks = [c for g in groups.values() for c in _run_group(run, workers, tuple(g), config)]
     return ExperimentReport(
         config=config,
         checks=checks,
@@ -950,7 +945,8 @@ def replay_failure(bundle: dict) -> dict:
         raise InputError(
             "bundle records a generation error; regenerate from its seed_derivation"
         )
-    evaluate = CHECK_SPECS[name].evaluator(bundle.get("trial"))
+    spec = CHECK_SPECS[name]
+    evaluate = spec.fixed if bundle.get("trial") == -1 else spec.evaluate
     if evaluate is None:
         raise InputError(f"check {name!r} has no fixed instance")
     return evaluate(**_deserialize(evaluate, bundle["inputs"]))

@@ -241,8 +241,6 @@ def modified_shannon_entropy(p, d) -> float:
     if bool((d[support] <= 0.0).any()):
         raise InputError("degeneracy must be positive wherever p > 0")
     ps = p[support]
-    if ps.size == 0:
-        return 0.0
     return float(-(ps * np.log(ps / d[support])).sum()) + 0.0  # normalise -0.0
 
 
@@ -269,9 +267,7 @@ def entropy_chain(model: SequentialModel) -> ChainEntropies:
         cross = math.inf
     else:
         qs = ms.q[support]
-        cross = 0.0 if qs.size == 0 else float(
-            -(qs * np.log(ms.p_tilde[support] / ms.d_tilde[support])).sum()
-        ) + 0.0
+        cross = float(-(qs * np.log(ms.p_tilde[support] / ms.d_tilde[support])).sum()) + 0.0
     return ChainEntropies(h_p=h_p, h_q=h_q, cross=cross)
 
 

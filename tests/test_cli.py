@@ -97,6 +97,9 @@ class TestModelFile:
         code, out, _ = run_cli(capsys, "jcheck", "--model", str(path))
         assert code == 1
         assert "forward_normalisation" in out
+        # an invalid model stops before its residuals are evaluated
+        assert out.splitlines()[-1] == "  result: FAIL"
+        assert "j_residual" not in out
 
     def test_misspelt_key(self, capsys, tmp_path):
         path = tmp_path / "model.json"
@@ -114,7 +117,7 @@ class TestModelFile:
             for argv in (("jcheck", "--model", str(path)), ("suite", "--config", str(path))):
                 code, _, err = run_cli(capsys, *argv)
                 assert code == 2, (garbage[:10], argv)
-                assert err.startswith("error:") and "Traceback" not in err
+                assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "jcheck", "--model", str(tmp_path / "nope.json"))
@@ -162,16 +165,27 @@ class TestCheckCommands:
 
 
 class TestSuite:
-    def test_suite_with_config_and_report(self, capsys, tmp_path):
+    def test_suite_with_config_and_report(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "_cpu_count", lambda: 1)  # in process
         config_path = tmp_path / "config.json"
         report_path = tmp_path / "report.json"
-        config_path.write_text(json.dumps({"seed": 12, "dims": [2, 3], "trials": 6}))
+        doc = {"seed": 12, "dims": [2, 3], "trials": 6}
+        config_path.write_text(json.dumps(doc))
         code, out, _ = run_cli(
             capsys, "suite", "--config", str(config_path), "--out", str(report_path)
         )
         assert code == 0
         assert "suite: PASS" in out
-        doc = json.loads(report_path.read_text())
+        lines = out.splitlines()
+        config = hn.ExperimentConfig.from_json(doc)
+        for name in hn.CHECK_ORDER:
+            header = f"check {name}: {hn.n_trials(name, config)} trials in "
+            assert sum(line.startswith(header) for line in lines) == 1, name
+        assert any(line.split() == ["zero_x_trials", "2"] for line in lines)
+        assert lines[-1] == f"report written to {report_path}"
+        text = report_path.read_text()
+        assert text.endswith("}\n")
+        doc = json.loads(text)
         assert doc["passed"] is True
         assert doc["config"]["seed"] == 12
 

@@ -120,6 +120,44 @@ class TestRandomPvm:
                 assert max(rich) >= 2
 
 
+class TestGeneratorDistributions:
+    """Moments of the seeded generator stacks, each within 5 standard errors of its exact value.
+
+    A standard error is the sample's standard deviation over sqrt(draws); 5 of them
+    leave a seeded run a margin far beyond chance, while a broken generator misses by
+    tens of them (QR without its phase fix gives E|Tr U|^2 of about 1.35 at d = 2).
+    """
+
+    @staticmethod
+    def assert_mean(samples, exact, what):
+        mean = samples.mean()
+        se = samples.std(ddof=1) / math.sqrt(len(samples))
+        assert abs(mean - exact) < 5 * se, f"{what}: {mean} vs {exact} (standard error {se:.2g})"
+
+    @staticmethod
+    def gaussians(seed, n, rows, cols):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n, rows, cols))
+                + 1j * rng.standard_normal((n, rows, cols))) / math.sqrt(2)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_haar_trace_moments(self, d):
+        """E|Tr U|^2 = 1 and E|Tr U^2|^2 = 2 for Haar U at d >= 2 (Mezzadri, Notices AMS
+        54, 592 (2007): only QR with the positive-diagonal phase fix is Haar)."""
+        us = hn._haar(self.gaussians(d, 4000, d, d))
+        traces = np.trace(us, axis1=1, axis2=2)
+        self.assert_mean(np.abs(traces) ** 2, 1.0, f"E|Tr U|^2 at d={d}")
+        squares = np.trace(us @ us, axis1=1, axis2=2)
+        self.assert_mean(np.abs(squares) ** 2, 2.0, f"E|Tr U^2|^2 at d={d}")
+
+    @pytest.mark.parametrize("d, k", [(2, 2), (4, 4), (8, 3)])
+    def test_gram_purity(self, d, k):
+        """E Tr rho^2 = (d + k)/(dk + 1) for rho = G G†/Tr(G G†), G a d x k Gaussian."""
+        rhos = hn._gram(self.gaussians(10 * d + k, 3000, d, k))
+        purity = np.einsum("nab,nba->n", rhos, rhos).real
+        self.assert_mean(purity, (d + k) / (d * k + 1), f"E Tr rho^2 at (d, k) = ({d}, {k})")
+
+
 class TestConfig:
     def test_round_trip(self):
         config = hn.ExperimentConfig(seed=42, dims=(2, 3), trials=5, tol=1e-8,
@@ -484,7 +522,7 @@ class TestRunCheck:
         assert bundle["trial"] == 1
         assert "synthetic generation failure" in bundle["error"]
         assert bundle["seed_derivation"][0] == 1 and bundle["seed_derivation"][2] == 1
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="regenerate from its seed_derivation"):
             hn.replay_failure(bundle)
 
 
@@ -890,19 +928,43 @@ class TestParallelSuite:
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         before = dict(os.environ)
+        with hn._worker_pool(2):
+            # spawned workers inherit it: one BLAS thread each, so they never oversubscribe
+            assert [os.environ.get(key) for key in hn._BLAS_THREAD_VARS] == ["1"] * 3
+        assert dict(os.environ) == before
         hn.run_suite(hn.ExperimentConfig(seed=21, dims=(2,), trials=3))
-        assert pools == [(2,)]
+        assert pools == [(2,), (2,)]
         assert dict(os.environ) == before
 
+    def test_a_worker_starts_no_pool(self, pools, monkeypatch):
+        import multiprocessing
+
+        assert hn._pool_workers(8) == 2
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert hn._pool_workers(8) == 1
+
     @staticmethod
-    def _python(tmp_path, *args):
+    def _python(tmp_path, *args, stdin=None):
         """``python *args`` in a fresh interpreter in ``tmp_path``, with this package importable."""
         src = os.path.dirname(os.path.dirname(hn.__file__))
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": pythonpath}
         env.pop("SEQMEAS_SEED", None)
-        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, input=stdin,
                               capture_output=True, text=True, timeout=120)
+
+    def test_script_from_stdin_runs_in_process(self, tmp_path):
+        """A spawned worker cannot re-import a script read from stdin, so none is started."""
+        proc = self._python(tmp_path, "-", stdin=(
+            "import hashlib\n"
+            "import seqmeas.harness as hn\n"
+            "hn._cpu_count = lambda: 2\n"
+            "report = hn.run_suite(hn.ExperimentConfig(seed=9, dims=(2, 3), trials=6))\n"
+            "print(hashlib.sha256(report.fingerprint().encode()).hexdigest())\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        config = hn.ExperimentConfig(seed=9, dims=(2, 3), trials=6)
+        assert proc.stdout.strip() == _in_process_fingerprint(config)
 
     def test_cli_suite_in_a_fresh_interpreter(self, tmp_path):
         # start-method mistakes only show up in a new process

@@ -409,6 +409,21 @@ class TestBuildSequentialModel:
                     direct = np.trace(q @ post).real
                     assert abs(joint[i, j] - direct) < 1e-10
 
+    def test_rounding_negative_overlaps_are_clamped(self):
+        """A rank-one family measured twice: Tr(P_j P_i) is an exact 0 for j != i, but
+        rounding leaves some entries of order -1e-17, which ``pi`` must hold as 0."""
+        rng = rng_for("build-clamp")
+        raw_minima = []
+        for d in range(2, 9):
+            fam = random_pvm(d, [1] * d, rng)
+            weights = rng.dirichlet(np.ones(d))
+            rho0 = qm.DensityOperator((weights[:, None, None] * fam.stack).sum(axis=0))
+            model = qm.build_sequential_model(rho0, fam, qm.identity_unitary(d), fam, weights)
+            raw_minima.append(np.einsum("jab,iba->ji", fam.stack, fam.stack).real.min())
+            assert model.pi.min() >= 0.0, d
+            assert sm.validate_model(model) == [], d
+        assert min(raw_minima) < 0.0  # the clamp is reached
+
     def test_assumption_violation_refused(self):
         rho0 = qm.DensityOperator(PLUS)
         trivial = qm.ProjectorFamily((np.eye(2, dtype=complex),))
@@ -901,6 +916,7 @@ def hand_made_families():
         "orthogonal_later_pair": (np.diag(e[0]), np.diag(e[1]), np.diag(e[1])),
         "complete": (COMP_BASIS[0],),
         "integer_degeneracy": (np.zeros((2, 2)), *COMP_BASIS),
+        "integer_degeneracy_last": (np.eye(2), np.zeros((2, 2))),
         "overflow": (overflow, np.eye(2) - overflow),
         "nan": (np.diag([math.nan, 0.0]), COMP_BASIS[1]),
         "empty": (),
@@ -974,6 +990,11 @@ FAMILY_OUTCOMES = {
     "integer_degeneracy": (
         "InvalidOperatorError", "integer_degeneracy",
         "projector 0 has non-integer rank [constraint=integer_degeneracy, residual=0.000e+00]",
+        "0x0.0p+0",
+    ),
+    "integer_degeneracy_last": (
+        "InvalidOperatorError", "integer_degeneracy",
+        "projector 1 has non-integer rank [constraint=integer_degeneracy, residual=0.000e+00]",
         "0x0.0p+0",
     ),
     "overflow": (

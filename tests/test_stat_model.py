@@ -145,6 +145,13 @@ class TestRegularizedExpectation:
         with pytest.raises(InputError):
             sm.RatioObservable(np.array([[math.nan]]))
 
+    def test_numerator_is_a_read_only_float_copy(self):
+        c = np.array([[1, 2], [3, 4]])
+        obs = sm.RatioObservable(c)
+        c[0, 0] = 7
+        assert obs.c.dtype == float and not obs.c.flags.writeable
+        assert obs.c.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
 
 class TestJEquation:
     def test_trivial(self):
