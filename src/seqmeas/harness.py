@@ -19,15 +19,15 @@ batched never changes a report.  Evaluation runs stacked too, bit for bit
 as one operator at a time: every ``evaluate`` and ``fixed`` is made with
 ``_one_at_a_time``, and the suite runs their steps through :func:`_build`.
 
-Dispatch: checks that share a trial stream form a group.  One loop,
-``_trial_records``, draws and builds each trial of a group once, in batches
-of bounded size, evaluates each batch per check and makes one record per
-check and trial with ``_trial_record`` (residuals, counters, failure
-bundle or None).
+Dispatch: checks that share a trial stream form a group.  ``_run_group``
+splits a group's trials into contiguous chunks, four per worker and of a
+size bounded by the dimension so that a chunk's memory stays bounded, and
+runs ``_trial_records`` on each, in this process or in worker processes;
+:func:`run_check` is a one-check group in process.  ``_trial_records``
+draws and builds each trial of its chunk once, as one batch, evaluates the
+batch per check and makes one record per check and trial with
+``_trial_record`` (residuals, counters, failure bundle or None).
 ``_outcome`` adds a check's fixed instance as trial -1 and folds its records.
-``_run_group`` runs the loop over a group's trials in contiguous chunks,
-four per worker, in this process or in worker processes; :func:`run_check`
-is a one-check group in process.
 :func:`run_suite` starts ``min(CPUs, checks)`` spawned workers, each with
 BLAS pinned to one thread, unless only one CPU is available or it already
 runs inside a worker.  The fold is the same on both paths, so the report is
@@ -108,11 +108,7 @@ class ExperimentConfig:
         for key in ("dims", "beta_values", "check_set"):
             if not isinstance(getattr(self, key), (list, tuple, np.ndarray)):
                 raise ConfigError(f"{key} must be a list")
-        # bools are ints to Python; int() would truncate 2.7 and float() read "1"
-        if not len(self.dims) or not all(
-            (_is_integral(d) or isinstance(d, float) and d.is_integer()) and 1 <= d <= 64
-            for d in self.dims
-        ):
+        if not len(self.dims) or not all(_is_whole(d) and 1 <= d <= 64 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of integers in [1, 64]")
         if not len(self.beta_values) or not _positive_finite(self.beta_values, 1):
             raise ConfigError("beta_values must be positive and finite")
@@ -151,6 +147,11 @@ class ExperimentConfig:
 def _is_integral(value) -> bool:
     """An integer of any integral type; never a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_whole(value) -> bool:
+    """An integer or an integral float; never a bool, nor 2.7, which int() would truncate."""
+    return _is_integral(value) or isinstance(value, float) and value.is_integer()
 
 
 def _positive_finite(values, ndim: int) -> bool:
@@ -282,13 +283,13 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pvm(dim: int, ranks, rng: np.random.Generator) -> qm.ProjectorFamily:
-    """Random complete family with the given degeneracies."""
+    """Random complete family whose degeneracies are ``ranks``, positive integers summing to dim."""
     if dim < 1:
         raise InputError("dim must be positive")
+    if not all(_is_whole(r) and r >= 1 for r in ranks) or sum(ranks) != dim:
+        raise InputError(f"ranks {ranks} must be positive integers summing to dim={dim}")
     ranks = [int(r) for r in ranks]
-    if any(r < 1 for r in ranks) or sum(ranks) != dim:
-        raise InputError(f"ranks {ranks} must be positive and sum to dim={dim}")
-    # the family checks the columns' orthonormality, so no Unitary is built
+    # Haar-QR columns are orthonormal by construction, so no Unitary is built
     return _pvms(_gaussian(rng, dim, dim)[np.newaxis], [ranks])[0]
 
 
@@ -739,17 +740,12 @@ def _gates(pinned: dict, tol) -> dict:
     return {k: g if tol is None or k in _VERDICT_KEYS else float(tol) for k, g in pinned.items()}
 
 
-#: trials one build holds at d <= 8; at larger d, fewer in proportion to
-#: d**3, the size of a family stack, so a build's memory stays bounded
-_BUILD_TRIALS = 256
-
-
 def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tuple:
     """``(records, seconds)`` of a stream group's trials, each keyed by check name.
 
-    One :func:`_build` per batch of trials runs the first check's ``draw``
-    of each, on the trial's own stream, into an instance or its error, and
-    each check evaluates the batch side by side (:func:`_evaluated`).  A
+    One :func:`_build` runs the first check's ``draw`` of each trial, on the
+    trial's own stream, into an instance or its error, and each check
+    evaluates the trials side by side (:func:`_evaluated`).  A
     check's records are one ``(residuals, generated counters, failure bundle
     or None)`` per trial, in order; its seconds are its time in the loop, the
     draws counted for the first check.  Worker processes run the loop too, so
@@ -760,19 +756,16 @@ def _trial_records(names: tuple, config: ExperimentConfig, trials: range) -> tup
     seed = [config.seed, _CHECK_IDS[stream]]
     gates = {name: _gates(CHECK_SPECS[name].tolerances, config.tol) for name in names}
     records = {name: [] for name in names}
-    seconds = dict.fromkeys(names, 0.0)
+    seconds = {}
     started = time.perf_counter()
-    size = max(1, _BUILD_TRIALS * 8**3 // max(8, *config.dims) ** 3)
-    for batch in (trials[lo : lo + size] for lo in range(0, len(trials), size)):
-        draws = [first.draw(trial_rng(config.seed, stream, t), config, t) for t in batch]
-        instances = _build(draws)
-        for name in names:
-            evaluations = _evaluated(CHECK_SPECS[name].evaluate, instances)
-            for trial, instance, residuals in zip(batch, instances, evaluations):
-                bundle = {"check": name, "trial": trial, "seed_derivation": [*seed, trial]}
-                records[name].append(_trial_record(gates[name], bundle, instance, residuals))
-            seconds[name] += time.perf_counter() - started
-            started = time.perf_counter()
+    instances = _build([first.draw(trial_rng(config.seed, stream, t), config, t) for t in trials])
+    for name in names:
+        evaluations = _evaluated(CHECK_SPECS[name].evaluate, instances)
+        for trial, instance, residuals in zip(trials, instances, evaluations):
+            bundle = {"check": name, "trial": trial, "seed_derivation": [*seed, trial]}
+            records[name].append(_trial_record(gates[name], bundle, instance, residuals))
+        seconds[name] = time.perf_counter() - started
+        started = time.perf_counter()
     return records, seconds
 
 
@@ -829,6 +822,10 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
 #: trial chunks per worker process and stream group, so that uneven trials balance
 _CHUNKS_PER_WORKER = 4
 
+#: trials one chunk holds at d <= 8; at larger d, fewer in proportion to
+#: d**3, the size of a family stack, so a chunk's memory stays bounded
+_CHUNK_TRIALS = 256
+
 #: BLAS thread-count variables set to 1 while a worker pool lives
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -883,7 +880,8 @@ def _worker_pool(workers: int):
 
 
 def _run_group(run, workers: int, names: tuple, config: ExperimentConfig) -> list:
-    """The outcomes of one stream group, its trials run in contiguous chunks, four per worker.
+    """The outcomes of one stream group, its trials run in contiguous chunks, four per worker
+    and at most ``_CHUNK_TRIALS`` at d <= 8.
 
     ``run`` maps the loop over the chunks: ``map`` here, a pool's in worker processes.
     The group's wall time is split between its checks by their seconds in
@@ -891,7 +889,8 @@ def _run_group(run, workers: int, names: tuple, config: ExperimentConfig) -> lis
     """
     started = time.perf_counter()
     trials = n_trials(names[0], config)
-    size = -(-trials // (_CHUNKS_PER_WORKER * workers))
+    size = min(-(-trials // (_CHUNKS_PER_WORKER * workers)),
+               max(1, _CHUNK_TRIALS * 8**3 // max(8, *config.dims) ** 3))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     parts = list(run(_trial_records, [names] * len(chunks), [config] * len(chunks), chunks))
     outcomes = [_outcome(name, config, [r for rs, _ in parts for r in rs[name]]) for name in names]

@@ -175,14 +175,10 @@ def expectation_regularized(model: SequentialModel, observable: RatioObservable)
     pi_t = model.pi.T  # (n_first, n_second)
     x = model.x
     pos = x > 0.0
-    total = 0.0
-    if pos.any():
-        p_rows = pi_t[pos] * x[pos, np.newaxis]
-        total += float((p_rows * c[pos] / x[pos, np.newaxis]).sum())
     zero = ~pos
-    if zero.any():
-        total += float((c[zero] * pi_t[zero]).sum())
-    return total
+    p_rows = pi_t[pos] * x[pos, np.newaxis]
+    total = float((p_rows * c[pos] / x[pos, np.newaxis]).sum())  # an empty sum is 0.0
+    return total + float((c[zero] * pi_t[zero]).sum())
 
 
 def j_equation_residual(model: SequentialModel) -> float:

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import golden_files
 import seqmeas.harness as hn
 import seqmeas.quantum as qm
 import seqmeas.stat_model as sm
@@ -91,7 +92,7 @@ class TestRandomPvm:
             assert np.array_equal(fam.degeneracies, ref.degeneracies)
 
     def test_builds_no_unitary(self, monkeypatch):
-        # _from_column_stack checks the Haar columns; a Unitary would check them again
+        # Haar-QR columns are orthonormal by construction; a Unitary would check them
         calls = []
         original = qm.Unitary.__post_init__
 
@@ -108,6 +109,17 @@ class TestRandomPvm:
     def test_rank_sum_mismatch(self):
         with pytest.raises(InputError):
             hn.random_pvm(4, [2, 3], np.random.default_rng(9))
+
+    @pytest.mark.parametrize("ranks", [[2.7, 2], [2, 1.5, 0.5], [True, 3], [np.True_, 3],
+                                       ["2", 2], [0, 4], [-1, 5]], ids=repr)
+    def test_rank_must_be_a_positive_integer(self, ranks):
+        # int() would make [2.7, 2] the degeneracies [2, 2]
+        with pytest.raises(InputError, match="positive integers"):
+            hn.random_pvm(4, ranks, np.random.default_rng(9))
+
+    def test_integral_float_rank_is_an_integer(self):
+        fam = hn.random_pvm(4, [2.0, np.float64(1), np.int64(1)], np.random.default_rng(9))
+        assert fam.degeneracies.tolist() == [2, 1, 1]
 
     def test_random_ranks_properties(self):
         rng = np.random.default_rng(10)
@@ -805,19 +817,41 @@ class TestBatchedGeneration:
 
     @pytest.mark.parametrize("name, n", [("jcheck", 8), ("luders", 4)])
     def test_a_batch_at_d64_peaks_as_one_trial(self, name, n):
-        """A d = 64 family stack is 4 MiB, so a batch must not hold one for each trial."""
-        config = hn.ExperimentConfig(seed=3, dims=(64,), trials=8)
+        """A d = 64 family stack is 4 MiB, so a run must not hold one for each trial."""
+        config = hn.ExperimentConfig(seed=3, dims=(64,), trials=n)
 
-        def peak(trials):
+        def peak(run, *args):
             tracemalloc.start()
             try:
-                hn._trial_records((name,), config, trials)
+                run(*args)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        alone = max(peak(range(t, t + 1)) for t in range(n))
-        assert peak(range(n)) < 1.1 * alone
+        alone = max(peak(hn._trial_records, (name,), config, range(t, t + 1)) for t in range(n))
+        assert peak(hn.run_check, name, config) < 1.1 * alone
+
+    @pytest.mark.parametrize("dims, trials, sizes", [
+        ((64,), 8, {1: 1, 2: 1}),             # d = 64: one trial per chunk
+        ((2, 16), 1000, {1: 32, 2: 32}),      # d = 16: 256 / 8
+        ((2, 8), 5000, {1: 256, 2: 256}),     # d <= 8: at most 256
+        ((2, 8), 300, {1: 75, 2: 38}),        # otherwise four chunks per worker
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_group_bounds_each_chunk(self, monkeypatch, dims, trials, sizes, workers):
+        """``_run_group`` hands ``_trial_records`` each trial once, in order, in chunks whose
+        size falls with d**3, so a chunk's memory stays bounded."""
+        config = hn.ExperimentConfig(seed=3, dims=dims, trials=trials)
+        chunks = []
+
+        def spy(names, config, trials):
+            chunks.append(trials)
+            return {names[0]: [({}, {}, None)] * len(trials)}, {names[0]: 0.0}
+
+        monkeypatch.setattr(hn, "_trial_records", spy)
+        hn._run_group(map, workers, ("klein",), config)
+        assert [t for chunk in chunks for t in chunk] == list(range(trials))
+        assert max(map(len, chunks)) == sizes[workers]
 
 
 def _in_process_fingerprint(config) -> str:
@@ -837,57 +871,43 @@ def _blas_build() -> str:
     return f"{blas.get('name', '?')} {blas.get('version', '?')}"
 
 
-#: Only the written last-bit policy of ROADMAP item 7 may change this pin.
-PINNED_FINGERPRINT = "8b73f57dc429ecda57ca93880d8aeddf90cc5490e5a0e2b96ce77a1a14cfcb30"
+def _assert_golden(name: str, fresh: str) -> None:
+    """Fail with the first lines of the diff unless ``fresh`` is golden file ``name``, byte for
+    byte; only a change under the README's last-bit policy may regenerate the file."""
+    diff = golden_files.diff(name, fresh)
+    if diff:
+        pytest.fail(
+            f"the last bits of tests/golden/{name} moved (numpy {np.__version__}, BLAS "
+            f"{_blas_build()}); a kernel change or another numpy/BLAS build computes different "
+            f"floats:\n{diff}",
+            pytrace=False,
+        )
 
 
 def test_fingerprint_is_pinned():
-    config = hn.ExperimentConfig(seed=21, dims=(2, 3, 5, 16), trials=40)
-    assert _in_process_fingerprint(config) == PINNED_FINGERPRINT, (
-        f"the report's last bits moved (numpy {np.__version__}, BLAS {_blas_build()}); "
-        "a kernel change or another numpy/BLAS build computes different floats"
-    )
-
-
-#: SHA-256 of the failure bundles below; any change to the bundle format moves it.
-PINNED_BUNDLES = "ce514b20d219f5f781efeacf14ec5da8f6bf5236566563b32d895a36788eb986"
+    report = golden_files.suite_report()
+    _assert_golden("suite_fingerprint.json", golden_files.text(json.loads(report.fingerprint())))
 
 
 def test_failure_bundles_are_pinned():
     # 86 bundles covering every check and every trial-input kind
-    config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=20, tol=1e-300)
-    failures = [f for name in hn.CHECK_ORDER for f in hn.run_check(name, config).failures]
+    failures = golden_files.failure_bundles()
     assert {f["check"] for f in failures} == set(hn.CHECK_ORDER)
     assert {k for f in failures for k in f["inputs"]} == {
         "model", "rho", "sigma", "projectors", "ancilla_projectors",
         "u", "u_total", "h0", "h1", "beta", "phi",
     }
-    assert _sha256(json.dumps(failures, sort_keys=True)) == PINNED_BUNDLES, (
-        f"the failure bundles' bytes moved (numpy {np.__version__}, BLAS {_blas_build()})"
-    )
+    _assert_golden("failure_bundles.json", golden_files.text(failures))
 
 
-#: SHA-256 of a dilation run's failures, trial bundles then the failed fixed instance's.
-PINNED_FIXED_BUNDLES = "37d1dd03dd254be340638399199f92c98fb4b39b57ae9a161b0302613862f085"
-
-
-def test_fixed_instance_bundle_is_pinned(monkeypatch):
-    spec = hn.CHECK_SPECS["dilation"]
-
-    @qm._one_at_a_time
-    def failing_fixed():
-        return {**(yield from spec.fixed.steps()), "swap_chain_violation": 1.0}
-
-    monkeypatch.setitem(hn.CHECK_SPECS, "dilation", dataclasses.replace(spec, fixed=failing_fixed))
-    config = hn.ExperimentConfig(seed=5, dims=(2, 3), trials=20, tol=1e-300)
-    failures = hn.run_check("dilation", config).failures
-    assert [f["trial"] for f in failures] == [5, -1]
-    fixed = failures[-1]
-    assert list(fixed) == ["check", "trial", "residuals", "inputs"] and fixed["inputs"] == {}
-    assert hn.replay_failure(json.loads(json.dumps(fixed))) == fixed["residuals"]
-    assert _sha256(json.dumps(failures)) == PINNED_FIXED_BUNDLES, (
-        f"the failure bundles' bytes moved (numpy {np.__version__}, BLAS {_blas_build()})"
-    )
+def test_fixed_instance_bundle_is_pinned():
+    with golden_files.failing_fixed_instance():
+        failures = golden_files.fixed_instance_bundles()
+        assert [f["trial"] for f in failures] == [5, -1]
+        fixed = failures[-1]
+        assert list(fixed) == ["check", "trial", "residuals", "inputs"] and fixed["inputs"] == {}
+        assert hn.replay_failure(json.loads(json.dumps(fixed))) == fixed["residuals"]
+    _assert_golden("fixed_instance_bundles.json", golden_files.text(failures, sort_keys=False))
 
 
 class TestParallelSuite:
@@ -990,7 +1010,11 @@ class TestParallelSuite:
         )
         proc = self._python(tmp_path, "unguarded.py")
         assert proc.returncode != 0
-        assert proc.stderr.strip().splitlines()[-1] == (
-            "seqmeas.errors.SeqMeasError: a worker died; a script that runs the suite"
-            ' needs an if __name__ == "__main__": guard'
-        )
+        lines = proc.stderr.strip().splitlines()
+        error = ("seqmeas.errors.SeqMeasError: a worker died; a script that runs the suite"
+                 ' needs an if __name__ == "__main__": guard')
+        assert error in lines, proc.stderr
+        # only the resource tracker may speak after it, of the semaphores of the pool
+        # that a dying worker began to build
+        after = lines[lines.index(error) + 1:]
+        assert all("resource_tracker: There appear to be" in line for line in after), after

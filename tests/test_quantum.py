@@ -237,28 +237,6 @@ class TestSpectralProjectors:
         for m, got in zip(matrices[8:12], stack):
             assert_same_bits(got.family.stack, qm.spectral_projectors(m).family.stack)
 
-    def test_column_family_rejects_non_orthonormal_columns(self):
-        rng = rng_for("column-perturbed")
-        for dim in (2, 5, 16):
-            v = random_unitary(dim, rng).matrix
-            eps = qm.PROJECTOR_TOL / dim**2
-            qm.ProjectorFamily._from_column_stack(v[np.newaxis] * (1 + 0.01 * eps), [[dim]])
-            with pytest.raises(InvalidOperatorError) as err:
-                qm.ProjectorFamily._from_column_stack(v[np.newaxis] * (1 + eps), [[1] * dim])
-            assert err.value.constraint == "orthonormal"
-
-    def test_column_family_rejects_nan_columns(self):
-        with pytest.raises(InvalidOperatorError) as err:
-            qm.ProjectorFamily._from_column_stack(np.full((1, 2, 2), np.nan), [[1, 1]])
-        assert err.value.constraint == "orthonormal"
-        v = random_unitary(3, rng_for("column-nan")).matrix.copy()
-        v[1, 2] = np.nan
-        stack = np.stack([np.eye(3, dtype=complex), v])
-        for widths in ([1, 1, 1], [1, 2]):
-            with pytest.raises(InvalidOperatorError) as err:
-                qm.ProjectorFamily._from_column_stack(stack, [widths, widths])
-            assert err.value.constraint == "orthonormal"
-
 
 class TestMeasurementStatistics:
     def test_maximally_mixed(self):
