@@ -30,7 +30,7 @@ class TestCounterexample:
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["is_minimal"] is False
-        assert doc["report"]["s_sigma"] == pytest.approx(1.1246702892376166, abs=1e-12)
+        assert doc["report"]["s_sigma"] == pytest.approx(1.1246702892376168, abs=1e-12)
         assert doc["rho"]["dim"] == 4
         assert doc["clusters"]["q"] == pytest.approx([0.25, 0.0, 0.75], abs=1e-12)
 
@@ -44,7 +44,7 @@ class TestCounterexample:
     def test_bits_display(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--bits")
         assert code == 0
-        in_bits = 1.1246702892376166 / math.log(2.0)
+        in_bits = 1.1246702892376168 / math.log(2.0)
         assert format(in_bits, ".15g")[:12] in out
         assert "bits" in out
 

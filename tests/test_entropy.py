@@ -14,8 +14,8 @@ from seqmeas.errors import ShapeError
 from seqmeas.harness import random_density, random_pvm, random_ranks
 
 LOG2 = math.log(2.0)
-#: high-precision four-term sum over the counterexample spectrum
-S_SIGMA_ORACLE = 1.1246702892376166
+#: the four-term closed form over the counterexample spectrum, correctly rounded
+S_SIGMA_ORACLE = 1.1246702892376168
 
 
 def rng_for(test_id):

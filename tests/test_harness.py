@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import decimal
 import hashlib
 import inspect
 import json
@@ -292,6 +293,17 @@ class TestRunCheck:
                                                                check_set=("counterexample",)))
         assert a.trials == b.trials == 1
         assert a.residual_maxima == b.residual_maxima
+
+    def test_counterexample_reference_is_the_closed_form(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            closed = -sum(x * x.ln() for x in (decimal.Decimal(n) / 16 for n in (1, 3, 3, 9)))
+        assert hn.COUNTEREXAMPLE_S_SIGMA == float(closed)  # correctly rounded
+        config = hn.ExperimentConfig(seed=0, trials=1, check_set=("counterexample",))
+        outcome = hn.run_check("counterexample", config)
+        # the float S(sigma) is one rounding of four terms away, so within an ulp
+        assert outcome.residual_maxima["s_sigma_dev"] <= math.ulp(hn.COUNTEREXAMPLE_S_SIGMA)
+        assert outcome.tolerances["s_sigma_dev"] == 1e-12
 
     def test_mis_clustered_counterexample_fails_every_cluster_residual(self, monkeypatch):
         import seqmeas.entropy as ent
