@@ -4,7 +4,8 @@ Von Neumann entropy, relative entropy through the spectral double sum,
 Klein's inequality, minimal pairs and their entropy identity, and the
 explicit non-minimal counterexample on C^2 o C^2.  All entropies are in
 nats; +infinity is signalled by ``math.inf`` and every consumer branches on
-it explicitly.
+it explicitly.  No projector is formed: for eigenbases V, W and one-hot
+cluster rows C, Tr(P_a Q_b) = C_V |V†W|^2 C_W^T, Tr(rho Q_j) = C_W diag(W† rho W).
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import numpy as np
 from .errors import ShapeError
 from .quantum import (
     DensityOperator,
-    ProjectorFamily,
     SpectralDecomposition,
     _one_at_a_time,
+    dagger,
     partial_trace,
     spectral_projectors,
-    stack_traces,
     tensor_product,
 )
 
@@ -51,9 +51,9 @@ def _decompose(rho: DensityOperator, sigma: DensityOperator):
     return sd_r, sd_s
 
 
-def _overlaps(first: ProjectorFamily, second: ProjectorFamily) -> np.ndarray:
-    """``Tr(P_a Q_b)`` clipped at 0: one ``(k_b, d, d)`` product per projector ``P_a``."""
-    return np.clip([stack_traces(p, second.stack) for p in first.stack], 0.0, None)
+def _overlaps(first: SpectralDecomposition, second: SpectralDecomposition) -> np.ndarray:
+    """``Tr(P_a Q_b)`` of the two decompositions' clusters: ``C_a |V†W|² C_bᵀ``."""
+    return first.clusters @ np.abs(dagger(first.vectors) @ second.vectors) ** 2 @ second.clusters.T
 
 
 def _relative_entropy_parts(
@@ -67,9 +67,8 @@ def _relative_entropy_parts(
     """
     r = sd_r.eigenvalues
     s = sd_s.eigenvalues
-    d_r = sd_r.family.degeneracies.astype(float)
 
-    overlaps = _overlaps(sd_r.family, sd_s.family)
+    overlaps = _overlaps(sd_r, sd_s)
 
     r_supported = r > SUPPORT_EPS
     s_zero = s <= SUPPORT_EPS
@@ -81,7 +80,7 @@ def _relative_entropy_parts(
         return math.inf, near_boundary
 
     rs = r[r_supported]
-    tr_rho_log_rho = float((rs * np.log(rs) * d_r[r_supported]).sum())
+    tr_rho_log_rho = float((rs * np.log(rs) * sd_r.clusters.sum(axis=1)[r_supported]).sum())
     s_supported = ~s_zero
     block = rows[:, s_supported]
     tr_rho_log_sigma = float(
@@ -126,13 +125,14 @@ class MinimalityResult:
 def _minimality(
     rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition
 ) -> MinimalityResult:
-    q = np.clip(stack_traces(rho.matrix, sd_s.family.stack), 0.0, None)
-    p_tilde = np.clip(stack_traces(sigma.matrix, sd_s.family.stack), 0.0, None)
+    w = sd_s.vectors
+    m = dagger(w) @ np.stack((rho.matrix, sigma.matrix)) @ w  # W† rho W and W† sigma W
+    q, p_tilde = np.clip(np.diagonal(m, axis1=1, axis2=2).real @ sd_s.clusters.T, 0.0, None)
     residuals = np.abs(p_tilde - q)
     return MinimalityResult(
         is_minimal=bool((residuals < VERDICT_TOL).all()),
         eigenvalues=sd_s.eigenvalues,
-        degeneracies=sd_s.family.degeneracies,
+        degeneracies=sd_s.clusters.sum(axis=1),
         q=q,
         p_tilde=p_tilde,
         residuals=residuals,

@@ -76,8 +76,7 @@ _CHECK_IDS = {name: k for k, name in enumerate(CHECK_ORDER)}
 #: seed used by the canonical acceptance configuration
 ACCEPTANCE_SEED = 5137
 
-#: the counterexample entropy S(sigma) in nats: the closed form -sum l log l over
-#: (1/16, 3/16, 3/16, 9/16), correctly rounded from 1.1246702892376167006...
+#: the counterexample's S(sigma) in nats, -sum l log l over (1, 3, 3, 9)/16 correctly rounded
 COUNTEREXAMPLE_S_SIGMA = 1.1246702892376168
 
 #: 0/1 verdicts gated at 0.5; the global ``tol`` override leaves them alone

@@ -17,8 +17,9 @@ requests for stacked kernels (such as ``spectral_projectors`` of a stack);
 :func:`_build` runs a batch of them.
 ``ProjectorFamily(projectors)`` keeps its projectors as one read-only
 ``(k, d, d)`` array, ``stack``, and their ranks as ``degeneracies``; the
-Born, overlap and Lueders kernels are batched matmuls over ``stack``.  A
-DensityOperator keeps the ``spectrum`` its positivity check computes.
+Born and Lueders kernels are batched matmuls over ``stack``; a spectral
+decomposition is an eigenbasis with one-hot cluster rows, and it builds its
+``family`` when read.  A DensityOperator keeps its positivity check's ``spectrum``.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
@@ -66,11 +67,6 @@ def max_abs(a: np.ndarray) -> float:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
-
-
-def stack_traces(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``Re Tr(a P_k)`` for every matrix ``P_k`` of a ``(k, d, d)`` stack."""
-    return np.trace(a @ stack, axis1=1, axis2=2).real
 
 
 def _as_square_complex(a, what: str = "matrix", ndims=(2,)) -> np.ndarray:
@@ -305,13 +301,16 @@ class ProjectorFamily:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalue clusters and eigenprojections of a Hermitian operator."""
+    """Ascending cluster ``eigenvalues``, ``eigh`` columns ``vectors``, one-hot ``clusters``."""
 
-    eigenvalues: np.ndarray  # ascending cluster representatives
-    family: ProjectorFamily
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    clusters: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+    @functools.cached_property
+    def family(self) -> ProjectorFamily:
+        """The eigenprojections, one per cluster, built the first time they are read."""
+        return ProjectorFamily._from_column_stack(self.vectors[None], [self.clusters.sum(1)])[0]
 
 
 def hermitian_eigendecomposition(a):
@@ -349,14 +348,14 @@ def spectral_projectors(a):
     ws, vs = (w, v) if w.ndim == 2 else (w[np.newaxis], v[np.newaxis])
     cuts = ((np.flatnonzero(gaps) + 1).tolist() for gaps in np.diff(ws) > CLUSTER_TOL)
     bounds = [list(zip([0, *c], [*c, ws.shape[1]])) for c in cuts]
-    families = ProjectorFamily._from_column_stack(vs, [[hi - lo for lo, hi in b] for b in bounds])
     out = [
         SpectralDecomposition(
             # a one-member cluster's mean is its member
             eigenvalues=np.array([e[lo] if hi - lo == 1 else e[lo:hi].mean() for lo, hi in b]),
-            family=family,
+            vectors=vectors,
+            clusters=np.repeat(np.eye(len(b), dtype=int), [hi - lo for lo, hi in b], axis=1),
         )
-        for e, b, family in zip(ws, bounds, families)
+        for e, b, vectors in zip(ws, bounds, vs)
     ]
     return out if v.ndim == 3 else out[0]
 
@@ -365,7 +364,7 @@ def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.n
     """p(i) = Tr(rho P_i), clamped to [0, 1]."""
     if rho.dim != family.dim:
         raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
-    return np.clip(stack_traces(rho.matrix, family.stack), 0.0, 1.0)
+    return np.clip(np.trace(rho.matrix @ family.stack, axis1=1, axis2=2).real, 0.0, 1.0)
 
 
 @_one_at_a_time

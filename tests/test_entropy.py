@@ -324,3 +324,24 @@ class TestEntropyReport:
         report = ent.entropy_report(rho, qm.DensityOperator(np.diag([1 - s, s])))
         assert math.isinf(report.rel_entropy) is infinite
         assert report.residuals.get("near_support_boundary") == (1.0 if near_boundary else None)
+
+
+def test_entropy_functions_build_no_projector_family(monkeypatch):
+    """They read the eigenbases of the spectral decompositions; no projector is formed."""
+    calls = []
+    original = qm.ProjectorFamily._from_column_stack
+
+    def spy(vs, widths):
+        calls.extend(list(w) for w in widths)
+        return original(vs, widths)
+
+    monkeypatch.setattr(qm.ProjectorFamily, "_from_column_stack", staticmethod(spy))
+    rho = random_density(6, rng=rng_for("no-family"))
+    sigma = qm.DensityOperator(np.diag([0.25, 0.25, 0.25, 0.125, 0.125, 0.0]))  # degenerate
+    for a, b in ((rho, sigma), (sigma, rho), (rho, rho)):
+        ent.relative_entropy(a, b)
+        ent.entropy_report(a, b)
+        ent.is_minimal_pair(a, b)
+    assert calls == []
+    assert len(qm.spectral_projectors(sigma.matrix).family) == 3  # the spy sees a family read
+    assert calls == [[1, 2, 3]]
