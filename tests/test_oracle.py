@@ -43,6 +43,55 @@ The bounds are first order.  The terms left out are smaller by a factor
 eta / g_j or eta / s_min; clusters lie more than ``CLUSTER_TOL`` apart, so
 that factor is below 2e-7 at d <= 8.  The bounds depend only on the operators,
 never on the float results, so they cannot be tuned to a kernel.
+
+The sequential model.  A spy records the float inputs of
+``build_sequential_model`` (rho0, the two families' projectors P_i and Q_j,
+U, p_tilde and any supplied p) and the oracle takes them as exact.  At 40
+digits it computes Pi(j|i) = Tr(Q_j U P_i U†), x(i) = p(i)/d(i) with
+p(i) = Tr(rho0 P_i) unless supplied (zero where the model zeroes x exactly),
+x_tilde(j) = p_tilde(j)/d_tilde(j), the J-equation residuals
+|sum_ij Pi(j|i) x_tilde(j) - 1| and |sum_ij Pi(j|i) x(i) - 1| (the
+regularised sums of ``stat_model``, whose ratios cancel), and for
+``jarzynski`` <exp(-beta w)> = sum_ij Pi(j|i) x(i) exp(-beta (F_j - E_i)) and
+exp(-beta dF) = Z_1/Z_0, Z = sum_k d_k exp(-beta E_k), with the protocol's
+float energies and beta taken as exact too.  ``chain`` evaluates the very
+models of ``jcheck`` (one trial stream), so the ``jcheck`` trials cover both.
+The bounds are first order in u = eps/2.  A complex inner product of length
+n rounds by at most c_n = (n + 2) u times sum |a_k||b_k| (Higham Sec. 3.6);
+|Tr(A B)| <= |A|_F |B|_F; a projector of rank r has |P|_F = sqrt(r); and for
+a unitary U the entrywise modulus has | |U| |_2 <= |U|_F = sqrt(d).
+
+* Pi(j|i), by either kernel, moves by at most B_Pi = 7 d^2 eps sqrt(d_i d_j).
+  The product kernel forms X_i = U P_i U†, off by 2 c_d |U||P_i||U†|
+  entrywise, and sums Tr(Q_j X_i) over d^2 terms; in all
+  u sqrt(d_i d_j) (2 d (d + 2) + d^2 + 2) <= 6 d^2 u sqrt(d_i d_j).  The
+  isometry kernel forms M = W†UV of the families' column blocks, off by
+  dM <= 2 c_d |W†||U||V|, so the cluster sum of |M|^2 moves by
+  2 sum |M||dM| <= 4 c_d |M_ji|_F |W_j|_F | |U| |_2 |V_i|_F
+  <= 4 (d + 2) d u sqrt(d_i d_j), plus (d_i + d_j + 3) u Pi for squaring
+  and summing.  The exact Pi of those columns, Tr(W_j W_j† U V_i V_i† U†),
+  differs from that of the float projectors, which round V_i V_i† by
+  (c_{d_i} + u) |V_i||V_i|†, by at most (d_i + 3) d_i u sqrt(d_j) and the
+  same with i and j swapped.  With Pi <= sqrt(d_i d_j) and d >= 2 the sum
+  is below 14 d^2 u sqrt(d_i d_j).
+* The forward residual sums k_1 k_2 terms Pi x_tilde x / x (or x_tilde Pi
+  where x = 0), each rounded by at most 4u with x_tilde's own rounding, and
+  subtracts one: B_J = sum_ij B_Pi x_tilde(j) + (k_1 k_2 + 5) u S, with
+  S = sum_ij Pi x_tilde.
+* The reverse residual's terms are Pi x_tilde x / x_tilde: x_tilde cancels,
+  but x(i) = p(i)/d(i) carries the error of p(i) = Tr(rho0 P_i), at most
+  (c_d + d u) |rho0|_F |P_i|_F <= 3 d u sqrt(d_i):
+  B_rev = sum_ij (B_Pi x(i) + Pi 3 d u / sqrt(d_i) [x(i) > 0]) + (k_1 k_2 + 5) u S~,
+  with S~ = sum_ij Pi x.
+* <exp(-beta w)>: each term Pi x e, e = exp(-beta w_ij), rounds in
+  x = p/d, in the product, in w = F_j - E_i and beta w (an exponent off by
+  2 u beta |w|) and in exp: B_lhs = sum_ij e (B_Pi x + (2 beta |w| + 5 + k_1 k_2) u Pi x).
+* exp(-beta dF) is computed as exp(log z_1 - beta F_min - log z_0 + beta E_min)
+  with shifted sums z = sum_k d_k exp(-beta (E_k - E_min)); each z is off
+  by (2 beta R + 3 + k) u relatively, R the spread of its spectrum, each
+  log and product by u times its value, and the three additions by u times
+  T = |log z_1| + beta |F_min| + |log z_0| + beta |E_min| each:
+  B_rhs = rhs u (sum over both of (2 beta R + 3 + k) + 4 T + 2).
 """
 
 import math
@@ -205,3 +254,135 @@ def test_float_values_within_forward_error_bounds(name):
         finite += "rel" in worst
         assert all(ratio <= 1.0 for _, ratio in worst.values()), worst
     assert finite >= TRIALS // 2
+
+
+def exact(a) -> np.ndarray:
+    """A float array as an object array of mpmath numbers, each the float's exact value."""
+    a = np.asarray(a)
+    kind = mp.mpc if np.iscomplexobj(a) else mp.mpf
+    return np.array([kind(z) for z in a.ravel().tolist()], dtype=object).reshape(a.shape)
+
+
+def model_oracle(inputs: dict, zeroed) -> dict:
+    """Pi, x, x_tilde, both J-equation residuals and their bounds at 40 digits, from the
+    recorded float inputs of one ``build_sequential_model`` call taken as exact.
+
+    ``zeroed`` marks the first outcomes whose x the model sets to exactly 0 after the build.
+    """
+    firsts, seconds = inputs["first_family"], inputs["second_family"]
+    d, k1, k2 = firsts.dim, len(firsts), len(seconds)
+    d1, d2 = firsts.degeneracies.tolist(), seconds.degeneracies.tolist()
+    with mp.workdps(DIGITS):
+        p, q, u = exact(firsts.stack), exact(seconds.stack), exact(inputs["u"].matrix)
+        evolved = u @ p @ np.conj(u.T)  # U P_i U†
+        pi = (q.reshape(k2, -1) @ evolved.transpose(0, 2, 1).reshape(k1, -1).T).tolist()
+        pi = [[z.real for z in row] for row in pi]
+        if inputs.get("probabilities") is None:
+            rho = exact(inputs["rho0"].matrix).reshape(-1)
+            probs = [mp.fsum(rho * pk.T.reshape(-1)).real for pk in p]
+            probs = [min(max(x, 0), 1) for x in probs]  # the float kernel's clamp
+        else:
+            probs = exact(inputs["probabilities"]).tolist()
+        x = [0 if z else pr / n for pr, n, z in zip(probs, d1, zeroed)]
+        x_tilde = [mp.mpf(pt) / n for pt, n in zip(np.asarray(inputs["p_tilde"]).tolist(), d2)]
+        b_pi = [[7 * d * d * EPS * math.sqrt(n1 * n2) for n1 in d1] for n2 in d2]
+        pairs = [(i, j) for i in range(k1) for j in range(k2)]
+        s = mp.fsum(pi[j][i] * x_tilde[j] for i, j in pairs)
+        s_rev = mp.fsum(pi[j][i] * x[i] for i, j in pairs)
+        unit = EPS / 2
+        bounds = {
+            "pi": b_pi,
+            "j_residual": mp.fsum(b_pi[j][i] * x_tilde[j] for i, j in pairs)
+            + (k1 * k2 + 5) * unit * s,
+            "j_reverse_residual": mp.fsum(
+                b_pi[j][i] * x[i] + (pi[j][i] * 3 * d * unit / math.sqrt(d1[i]) if x[i] else 0)
+                for i, j in pairs
+            ) + (k1 * k2 + 5) * unit * s_rev,
+        }
+        return {"pi": pi, "x": x, "j_residual": abs(s - 1), "j_reverse_residual": abs(s_rev - 1),
+                "bounds": bounds}
+
+
+def work_oracle(model: dict, result, beta: float) -> dict:
+    """<exp(-beta w)> and exp(-beta dF) at 40 digits with their bounds, from ``model_oracle``'s
+    values and the protocol's float energies and beta taken as exact."""
+    e0, e1 = (exact(e).tolist() for e in (result.energies_first, result.energies_second))
+    d0, d1 = (np.rint(result.model.pi.sum(axis=axis)).astype(int).tolist() for axis in (0, 1))
+    pi, x, b_pi = model["pi"], model["x"], model["bounds"]["pi"]
+    unit = EPS / 2
+    with mp.workdps(DIGITS):
+        lhs = b_lhs = 0
+        for i, ei in enumerate(e0):
+            for j, fj in enumerate(e1):
+                e = mp.exp(-beta * (fj - ei))
+                lhs += pi[j][i] * x[i] * e
+                b_lhs += e * (b_pi[j][i] * x[i] + (2 * beta * abs(fj - ei) + 5 + len(e0) * len(e1))
+                              * unit * pi[j][i] * x[i])
+        z0, z1 = (mp.fsum(n * mp.exp(-beta * ek) for n, ek in zip(ns, es))
+                  for ns, es in ((d0, e0), (d1, e1)))
+        rhs = z1 / z0
+        shifted = [(mp.fsum(n * mp.exp(-beta * (ek - min(es))) for n, ek in zip(ns, es)),
+                    max(es) - min(es), min(es), len(es)) for ns, es in ((d0, e0), (d1, e1))]
+        t = mp.fsum(abs(mp.log(z)) + beta * abs(low) for z, _, low, _ in shifted)
+        b_rhs = rhs * unit * (mp.fsum(2 * beta * spread + 3 + k for _, spread, _, k in shifted)
+                              + 4 * t + 2)
+    return {"lhs": lhs, "rhs": rhs, "bounds": {"lhs": b_lhs, "rhs": b_rhs}}
+
+
+def model_trials(name: str, monkeypatch, trials: int = TRIALS):
+    """Per trial of ``name`` (``jcheck`` or ``jarzynski``): the recorded float inputs of its
+    ``build_sequential_model`` call, the float values the check reads, and for
+    ``jarzynski`` the protocol's result and beta."""
+    calls = []
+    original = qm.build_sequential_model
+
+    def spy(rho0, first_family, u, second_family, p_tilde, probabilities=None):
+        calls.append({"rho0": rho0, "first_family": first_family, "u": u,
+                      "second_family": second_family, "p_tilde": p_tilde,
+                      "probabilities": probabilities})
+        return original(rho0, first_family, u, second_family, p_tilde, probabilities)
+
+    monkeypatch.setattr(qm, "build_sequential_model", spy)
+    config = hn.acceptance_config()
+    spec = hn.CHECK_SPECS[name]
+    for t in range(trials):
+        inputs, _ = spec.generate(hn.trial_rng(config.seed, spec.rng_alias or name, t), config, t)
+        if name == "jcheck":
+            model, result = inputs["model"], None
+            floats = hn.evaluate_jcheck(model)
+        else:
+            result = qm.two_point_work_protocol(**inputs)
+            model, floats = result.model, {"lhs": result.lhs, "rhs": result.rhs}
+        (call,) = calls
+        calls.clear()
+        yield call, model, {"pi": model.pi, **floats}, result, inputs.get("beta")
+
+
+def model_errors(name: str, monkeypatch, trials: int = TRIALS) -> dict:
+    """Per quantity, the largest |float - oracle| and largest ratio of it to its bound
+    over the first ``trials`` trials of ``name``."""
+    worst: dict = {}
+    for call, model, got, result, beta in model_trials(name, monkeypatch, trials):
+        want = model_oracle(call, (model.x == 0.0).tolist())
+        if result is not None:
+            work = work_oracle(want, result, beta)
+            want = {**want, **work, "bounds": {**want["bounds"], **work["bounds"]}}
+        with mp.workdps(DIGITS):
+            for key, value in got.items():
+                errs = [abs(mp.mpf(float(g)) - o) for g, o in
+                        zip(np.ravel(value), np.ravel(np.array(want[key], dtype=object)))]
+                bound = np.ravel(np.array(want["bounds"][key], dtype=object))
+                err, ratio = float(max(errs)), float(max(e / b for e, b in zip(errs, bound)))
+                old = worst.get(key, (0.0, 0.0))
+                worst[key] = (max(old[0], err), max(old[1], ratio))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["jcheck", "jarzynski"])
+def test_model_values_within_forward_error_bounds(name, monkeypatch):
+    """Pi and both J-equation residuals of ``jcheck`` (and so ``chain``), and the two sides
+    of Jarzynski's equality, each within its first-order bound of the 40-digit value."""
+    worst = model_errors(name, monkeypatch)
+    keys = {"jcheck": {"pi", "j_residual", "j_reverse_residual"}, "jarzynski": {"pi", "lhs", "rhs"}}
+    assert set(worst) == keys[name]
+    assert all(ratio <= 1.0 for _, ratio in worst.values()), worst
