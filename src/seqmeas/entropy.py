@@ -53,7 +53,8 @@ def _decompose(rho: DensityOperator, sigma: DensityOperator):
 
 def _overlaps(first: SpectralDecomposition, second: SpectralDecomposition) -> np.ndarray:
     """``Tr(P_a Q_b)`` of the two decompositions' clusters: ``C_a |V†W|² C_bᵀ``."""
-    return first.clusters @ np.abs(dagger(first.vectors) @ second.vectors) ** 2 @ second.clusters.T
+    a, b = first.family, second.family
+    return a.clusters @ np.abs(dagger(a.vectors) @ b.vectors) ** 2 @ b.clusters.T
 
 
 def _relative_entropy_parts(
@@ -80,7 +81,7 @@ def _relative_entropy_parts(
         return math.inf, near_boundary
 
     rs = r[r_supported]
-    tr_rho_log_rho = float((rs * np.log(rs) * sd_r.clusters.sum(axis=1)[r_supported]).sum())
+    tr_rho_log_rho = float((rs * np.log(rs) * sd_r.family.degeneracies[r_supported]).sum())
     s_supported = ~s_zero
     block = rows[:, s_supported]
     tr_rho_log_sigma = float(
@@ -125,14 +126,14 @@ class MinimalityResult:
 def _minimality(
     rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition
 ) -> MinimalityResult:
-    w = sd_s.vectors
+    w = sd_s.family.vectors
     m = dagger(w) @ np.stack((rho.matrix, sigma.matrix)) @ w  # W† rho W and W† sigma W
-    q, p_tilde = np.clip(np.diagonal(m, axis1=1, axis2=2).real @ sd_s.clusters.T, 0.0, None)
+    q, p_tilde = np.clip(np.diagonal(m, axis1=1, axis2=2).real @ sd_s.family.clusters.T, 0.0, None)
     residuals = np.abs(p_tilde - q)
     return MinimalityResult(
         is_minimal=bool((residuals < VERDICT_TOL).all()),
         eigenvalues=sd_s.eigenvalues,
-        degeneracies=sd_s.clusters.sum(axis=1),
+        degeneracies=sd_s.family.degeneracies,
         q=q,
         p_tilde=p_tilde,
         residuals=residuals,

@@ -10,16 +10,17 @@ axiom; each single-comparison gate goes through ``_gate``, which passes
 only when ``residual < tol``, so a NaN fails.  A public family is checked
 as one ``(k, d, d)`` stack; families built from ``eigh`` or Haar-QR columns,
 orthonormal by construction, are not checked again.  Trial generation
-validates densities a stack at a time, bit for bit as one at a time, and
-forms an all-rank-one family's projectors in one batched
-``(d, 1) @ (1, d)`` product.  Functions made with ``_one_at_a_time`` yield
-requests for stacked kernels (such as ``spectral_projectors`` of a stack);
-:func:`_build` runs a batch of them.
-``ProjectorFamily(projectors)`` keeps its projectors as one read-only
-``(k, d, d)`` array, ``stack``, and their ranks as ``degeneracies``; the
-Born and Lueders kernels are batched matmuls over ``stack``; a spectral
-decomposition is an eigenbasis with one-hot cluster rows, and it builds its
-``family`` when read.  A DensityOperator keeps its positivity check's ``spectrum``.
+validates densities a stack at a time, bit for bit as one at a time.
+Functions made with ``_one_at_a_time`` yield requests for stacked kernels
+(such as ``spectral_projectors`` of a stack); :func:`_build` runs a batch of them.
+A ``ProjectorFamily`` is both its read-only ``(k, d, d)`` ``stack`` of
+projectors and its isometry, the unitary ``vectors`` V with one-hot
+``clusters`` rows C, P_i = V diag(C_i) V†; it holds the one it was built
+from and forms the other when first read.  ``build_sequential_model`` reads
+isometries, Pi(j|i) = C_2 |W†UV|² C_1ᵀ; the Born rule's trace, the
+repeatability residuals and the Lueders and dilation kernels read ``stack``.
+A spectral decomposition is its cluster eigenvalues and the family of its
+``eigh`` columns.  A DensityOperator keeps its positivity check's ``spectrum``.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
@@ -219,11 +220,14 @@ def identity_unitary(dim: int) -> Unitary:
 
 @dataclass(frozen=True)
 class ProjectorFamily:
-    """Complete family of mutually orthogonal projectors (a PVM).
+    """Complete family of mutually orthogonal projectors (a PVM), and its isometry.
 
-    Outcome ``k`` is ``projectors[k]``, in the order supplied.  The
-    ``projectors`` are read-only views into ``stack``, the one ``(k, d, d)``
-    copy of them, and ``degeneracies`` holds their ranks.
+    Outcome ``k`` is ``projectors[k]``, in the order supplied, a read-only view
+    into ``stack``, the one ``(k, d, d)`` copy; ``degeneracies`` holds the ranks.
+    The isometry is the unitary ``vectors``, columns grouped by outcome as the
+    one-hot ``(k, d)`` rows of ``clusters`` say.  Built from columns, a family
+    forms ``stack`` when first read; built from projectors, it keeps them and
+    derives ``vectors`` when first read, from one ``eigh`` of sum_k k P_k.
     """
 
     projectors: tuple
@@ -256,61 +260,74 @@ class ProjectorFamily:
             raise InvalidOperatorError(
                 f"projector {k} has non-integer rank", "integer_degeneracy", off[k]
             )
-        self._hold(s, ranks)
+        object.__setattr__(self, "degeneracies", ranks.astype(int))
+        self._hold(s)
 
-    def _hold(self, stack: np.ndarray, degeneracies) -> None:
+    def _hold(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "projectors", tuple(stack))
-        object.__setattr__(self, "degeneracies", np.array(degeneracies, dtype=int))
 
     def __reduce__(self):
         return type(self), (self.projectors,)
 
     @classmethod
     def _from_column_stack(cls, vs: np.ndarray, widths) -> list:
-        """Families ``P_a = B_a B_a†`` of the consecutive column blocks ``B_a`` of ``vs[i]``.
-
-        ``widths`` (positive, summing to the dimension d) become the degeneracies.
-        The columns are orthonormal by construction, as ``eigh`` eigenvectors of a
-        checked Hermitian matrix and the QR columns of finite Gaussian blocks are,
-        so no axiom is checked again; ``0.5 (p + p†)`` is exactly Hermitian.
-        """
-        d = vs.shape[-1]
-        out = []
-        for v, w in zip(vs, widths):
-            if len(w) == d:  # all rank one: one batched (d, 1) @ (1, d) product
-                columns = v.T[:, :, np.newaxis]
-                stack = columns @ dagger(columns)
-            else:
-                stack = np.empty((len(w), d, d), dtype=complex)
-                for p, stop, width in zip(stack, accumulate(w), w):
-                    block = v[:, stop - width : stop]
-                    np.matmul(block, dagger(block), out=p)
-            out.append(object.__new__(cls))
-            out[-1]._hold(0.5 * (stack + dagger(stack)), w)
+        """Families of isometry ``vs[i]``, whose consecutive column blocks have the
+        degeneracies ``widths[i]``.  The columns are orthonormal by construction, as
+        ``eigh`` eigenvectors of a checked Hermitian matrix and the QR columns of finite
+        Gaussian blocks are, so no axiom is checked again."""
+        out = [object.__new__(cls) for _ in widths]
+        for family, v, w in zip(out, vs, widths):
+            v.setflags(write=False)
+            vars(family).update(vectors=v, degeneracies=np.array(w, dtype=int))
         return out
 
+    def _outer_products(self) -> np.ndarray:
+        """``P_a = B_a B_a†`` of the column blocks ``B_a`` of ``vectors``; ``0.5 (p + p†)`` is
+        exactly Hermitian."""
+        v, widths = self.vectors, self.degeneracies
+        if len(widths) == len(v):  # all rank one: one batched (d, 1) @ (1, d) product
+            columns = v.T[:, :, np.newaxis]
+            stack = columns @ dagger(columns)
+        else:
+            stack = np.empty((len(widths), len(v), len(v)), dtype=complex)
+            for p, stop, width in zip(stack, accumulate(widths), widths):
+                block = v[:, stop - width : stop]
+                np.matmul(block, dagger(block), out=p)
+        return 0.5 * (stack + dagger(stack))
+
+    def __getattr__(self, name):
+        """Form what a family does not hold yet the first time it is read."""
+        held = vars(self)
+        if name in ("stack", "projectors") and "vectors" in held:
+            self._hold(self._outer_products())
+            return held[name]
+        if name == "vectors" and "stack" in held:  # eigh orders the columns by outcome
+            levels = np.arange(len(self))[:, np.newaxis, np.newaxis]
+            value = np.linalg.eigh((levels * self.stack).sum(axis=0))[1]
+        elif name == "clusters":
+            value = np.repeat(np.eye(len(self), dtype=int), self.degeneracies, axis=1)
+        else:
+            raise AttributeError(name)
+        value.setflags(write=False)
+        held[name] = value
+        return value
+
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.degeneracies)
 
     @property
     def dim(self) -> int:
-        return self.stack.shape[1]
+        return int(self.degeneracies.sum())  # the ranks of a complete family sum to d
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending cluster ``eigenvalues``, ``eigh`` columns ``vectors``, one-hot ``clusters``."""
+    """Ascending cluster ``eigenvalues`` and the ``family`` of their ``eigh`` columns."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    clusters: np.ndarray
-
-    @functools.cached_property
-    def family(self) -> ProjectorFamily:
-        """The eigenprojections, one per cluster, built the first time they are read."""
-        return ProjectorFamily._from_column_stack(self.vectors[None], [self.clusters.sum(1)])[0]
+    family: ProjectorFamily
 
 
 def hermitian_eigendecomposition(a):
@@ -320,18 +337,6 @@ def hermitian_eigendecomposition(a):
     if not dev < HERMITIAN_TOL:
         raise InputError(f"operator is not Hermitian (residual {dev:.3e})")
     return np.linalg.eigh(m)
-
-
-def _cluster_slices(values: np.ndarray, cluster_tol: float) -> list:
-    """Group ascending values into runs with consecutive gaps <= cluster_tol."""
-    slices = []
-    start = 0
-    for k in range(1, len(values)):
-        if values[k] - values[k - 1] > cluster_tol:
-            slices.append(slice(start, k))
-            start = k
-    slices.append(slice(start, len(values)))
-    return slices
 
 
 def spectral_projectors(a):
@@ -348,14 +353,14 @@ def spectral_projectors(a):
     ws, vs = (w, v) if w.ndim == 2 else (w[np.newaxis], v[np.newaxis])
     cuts = ((np.flatnonzero(gaps) + 1).tolist() for gaps in np.diff(ws) > CLUSTER_TOL)
     bounds = [list(zip([0, *c], [*c, ws.shape[1]])) for c in cuts]
+    families = ProjectorFamily._from_column_stack(vs, [[hi - lo for lo, hi in b] for b in bounds])
     out = [
         SpectralDecomposition(
             # a one-member cluster's mean is its member
             eigenvalues=np.array([e[lo] if hi - lo == 1 else e[lo:hi].mean() for lo, hi in b]),
-            vectors=vectors,
-            clusters=np.repeat(np.eye(len(b), dtype=int), [hi - lo for lo, hi in b], axis=1),
+            family=family,
         )
-        for e, b, vectors in zip(ws, bounds, vs)
+        for e, b, family in zip(ws, bounds, families)
     ]
     return out if v.ndim == 3 else out[0]
 
@@ -456,9 +461,9 @@ def build_sequential_model(
             f"repeatability assumption fails (worst weighted residual {worst:.3e})", report
         )
 
-    firsts, seconds = first_family.stack, second_family.stack
-    pi = np.einsum("jab,iba->ji", seconds, u.matrix @ firsts @ dagger(u.matrix)).real
-    pi = np.where((pi < 0.0) & (pi > -PROB_CLAMP), 0.0, pi)
+    v, c1, c2 = first_family.vectors, first_family.clusters, second_family.clusters
+    m = dagger(second_family.vectors) @ u.matrix @ v  # M = W† U V
+    pi = c2 @ np.abs(m) ** 2 @ c1.T
 
     if probabilities is None:
         p = report.probabilities
@@ -479,11 +484,12 @@ def build_sequential_model(
     x_tilde = p_tilde / second_family.degeneracies
     model = SequentialModel(pi=pi, x=x, x_tilde=x_tilde)
 
-    # cross-check: the induced joint distribution must match the Born rule
-    joint = (pi * x[np.newaxis, :]).T
-    selected = u.matrix @ firsts @ rho0.matrix @ firsts @ dagger(u.matrix)
-    direct = np.einsum("jab,iba->ji", seconds, selected).real.T
-    dev = max_abs(joint - direct)
+    # cross-check: the induced joint distribution must match the Born rule,
+    # Tr(Q_j U P_i rho0 P_i U†) = C_2 Re(conj(M) (M B)) C_1ᵀ with B the
+    # block-diagonal part of V† rho0 V
+    block = (dagger(v) @ rho0.matrix @ v) * (c1.T @ c1)
+    direct = c2 @ (m.conj() * (m @ block)).real @ c1.T
+    dev = max_abs(pi * x[np.newaxis, :] - direct)
     if not dev < 1e-10:
         raise InconsistentModelError(
             f"induced joint distribution deviates from the Born rule by {dev:.3e}"
@@ -520,10 +526,8 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     sd1 = yield spectral_projectors, _as_square_complex(h1, "operator")
     if sd0.family.dim != sd1.family.dim or u.dim != sd0.family.dim:
         raise ShapeError("h0, h1 and u must share one dimension")
-    energies0 = sd0.eigenvalues
-    energies1 = sd1.eigenvalues
-    d0 = sd0.family.degeneracies.astype(float)
-    d1 = sd1.family.degeneracies.astype(float)
+    energies0, energies1 = sd0.eigenvalues, sd1.eigenvalues
+    d0, d1 = sd0.family.degeneracies, sd1.family.degeneracies
 
     # shifted Boltzmann weights avoid overflow at large beta
     w0 = np.exp(-beta * (energies0 - energies0.min()))
@@ -547,16 +551,9 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
         - math.log(z0_shifted) + beta * energies0.min()
     )
     rhs = math.exp(log_ratio)
-    return WorkProtocolResult(
-        work=work,
-        probability=probability,
-        lhs=lhs,
-        rhs=rhs,
-        delta_f=-log_ratio / beta,
-        model=model,
-        energies_first=energies0,
-        energies_second=energies1,
-    )
+    return WorkProtocolResult(work=work, probability=probability, lhs=lhs, rhs=rhs,
+                              delta_f=-log_ratio / beta, model=model,
+                              energies_first=energies0, energies_second=energies1)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -578,9 +575,7 @@ def partial_trace(rho, dims: tuple, keep: int) -> np.ndarray:
     if keep not in (1, 2):
         raise InputError("keep must be 1 or 2")
     t = m.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        return np.einsum("abcb->ac", t)
-    return np.einsum("abac->bc", t)
+    return np.trace(t, axis1=1, axis2=3) if keep == 1 else np.trace(t, axis1=0, axis2=2)
 
 
 @dataclass(frozen=True)

@@ -329,13 +329,13 @@ class TestEntropyReport:
 def test_entropy_functions_build_no_projector_family(monkeypatch):
     """They read the eigenbases of the spectral decompositions; no projector is formed."""
     calls = []
-    original = qm.ProjectorFamily._from_column_stack
+    original = qm.ProjectorFamily._outer_products
 
-    def spy(vs, widths):
-        calls.extend(list(w) for w in widths)
-        return original(vs, widths)
+    def spy(family):
+        calls.append(family.degeneracies.tolist())
+        return original(family)
 
-    monkeypatch.setattr(qm.ProjectorFamily, "_from_column_stack", staticmethod(spy))
+    monkeypatch.setattr(qm.ProjectorFamily, "_outer_products", spy)
     rho = random_density(6, rng=rng_for("no-family"))
     sigma = qm.DensityOperator(np.diag([0.25, 0.25, 0.25, 0.125, 0.125, 0.0]))  # degenerate
     for a, b in ((rho, sigma), (sigma, rho), (rho, rho)):
@@ -343,5 +343,5 @@ def test_entropy_functions_build_no_projector_family(monkeypatch):
         ent.entropy_report(a, b)
         ent.is_minimal_pair(a, b)
     assert calls == []
-    assert len(qm.spectral_projectors(sigma.matrix).family) == 3  # the spy sees a family read
+    assert len(qm.spectral_projectors(sigma.matrix).family.stack) == 3  # the spy sees a stack read
     assert calls == [[1, 2, 3]]

@@ -941,13 +941,14 @@ class TestParallelSuite:
     def test_pool_matches_in_process_bit_for_bit(self, pools, tol):
         # 40 trials over 2 workers go out in chunks of 5; at tol=1e-300 most
         # trials write a failure bundle, so their order and inputs are pinned too
+        # (a trial whose residuals are exactly 0 passes even there, and leaves none)
         config = hn.ExperimentConfig(seed=21, dims=(2, 3, 5), trials=40, tol=tol)
         report = hn.run_suite(config)
         assert pools == [(2,)]
         assert _sha256(report.fingerprint()) == _in_process_fingerprint(config)
         if tol is not None:
-            jcheck = report.checks[0]
-            assert [f["trial"] for f in jcheck.failures] == list(range(40))
+            trials = [f["trial"] for f in report.checks[0].failures]
+            assert all(a < b for a, b in zip(trials, trials[1:])) and len(trials) >= 35
 
     def test_one_cpu_makes_no_pool(self, pools, monkeypatch):
         monkeypatch.setattr(hn, "_cpu_count", lambda: 1)
@@ -1030,3 +1031,20 @@ class TestParallelSuite:
         # that a dying worker began to build
         after = lines[lines.index(error) + 1:]
         assert all("resource_tracker: There appear to be" in line for line in after), after
+
+
+def test_jcheck_draw_never_forms_the_second_familys_projectors(monkeypatch):
+    """A jcheck draw builds its model from the second family's isometry alone."""
+    seconds = []
+    original = qm.build_sequential_model
+
+    def spy(rho0, first_family, u, second_family, p_tilde, probabilities=None):
+        seconds.append(second_family)
+        return original(rho0, first_family, u, second_family, p_tilde, probabilities)
+
+    monkeypatch.setattr(qm, "build_sequential_model", spy)
+    config = hn.ExperimentConfig(seed=21, dims=(2, 3, 5, 16), trials=8)
+    for t in range(config.trials):
+        hn.CHECK_SPECS["jcheck"].generate(hn.trial_rng(config.seed, "jcheck", t), config, t)
+    assert len(seconds) == config.trials
+    assert not any("stack" in vars(fam) for fam in seconds)

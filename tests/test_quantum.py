@@ -37,6 +37,18 @@ def rng_for(test_id):
     return np.random.default_rng(zlib.crc32(test_id.encode()))
 
 
+def cluster_slices(values: np.ndarray, cluster_tol: float) -> list:
+    """Group ascending values into runs with consecutive gaps <= cluster_tol (a loop reference)."""
+    slices = []
+    start = 0
+    for k in range(1, len(values)):
+        if values[k] - values[k - 1] > cluster_tol:
+            slices.append(slice(start, k))
+            start = k
+    slices.append(slice(start, len(values)))
+    return slices
+
+
 class TestOperatorTypes:
     def test_density_validation_order(self):
         with pytest.raises(InvalidOperatorError) as err:
@@ -186,7 +198,7 @@ class TestSpectralProjectors:
             # reference: the same projectors through the fully validating constructor
             w, v = qm.hermitian_eigendecomposition(h)
             projectors = []
-            for sl in qm._cluster_slices(w, qm.CLUSTER_TOL):
+            for sl in cluster_slices(w, qm.CLUSTER_TOL):
                 p = v[:, sl] @ v[:, sl].conj().T
                 projectors.append(0.5 * (p + p.conj().T))
             ref = qm.ProjectorFamily(tuple(projectors))
@@ -196,7 +208,7 @@ class TestSpectralProjectors:
                 assert not got.flags.writeable
             assert np.array_equal(sd.family.degeneracies, ref.degeneracies)
             one_hot = np.repeat(np.eye(len(ref), dtype=int), ref.degeneracies, axis=1)
-            assert_same_bits(sd.clusters, one_hot)
+            assert_same_bits(sd.family.clusters, one_hot)
             assert sd.family is sd.family  # built once, when first read
 
     def test_batch_equals_one_at_a_time_on_hard_inputs(self):
@@ -230,8 +242,8 @@ class TestSpectralProjectors:
         for m, got in zip(matrices, batch):
             want = qm.spectral_projectors(m)
             assert_same_bits(got.eigenvalues, want.eigenvalues)
-            assert_same_bits(got.vectors, want.vectors)
-            assert_same_bits(got.clusters, want.clusters)
+            assert_same_bits(got.family.vectors, want.family.vectors)
+            assert_same_bits(got.family.clusters, want.family.clusters)
             assert_same_bits(got.family.degeneracies, want.family.degeneracies)
             assert_same_bits(got.family.stack, want.family.stack)
             assert not got.family.stack.flags.writeable
@@ -781,6 +793,12 @@ class TestBatchedKernels:
             want = np.clip(loop_traces(m.matrix, sd.family), 0.0, None)
             assert np.abs(got - want).max() <= 4 * dim * EPS
 
+    # build_sequential_model reads the families' isometries, Pi = C_2 |W†UV|² C_1ᵀ, and
+    # agrees with the trace loop within 2 d eps sqrt(d_i d_j) per entry.  Each kernel's
+    # worst-case first-order error is of order d² eps sqrt(d_i d_j) (``tests/test_oracle.py``
+    # derives 7 d² eps for both together), summing d² rounded terms; rounding errors of
+    # a sum grow like the square root of its length in practice (Higham, Sec. 3.1), which
+    # gives d eps sqrt(d_i d_j); c = 2 is four times the 0.5 measured here at d = 2..64.
     def test_assumption_and_build_sequential_model(self, case):
         dim, rng, families, _ = case
         u = random_unitary(dim, rng)
@@ -802,8 +820,48 @@ class TestBatchedKernels:
                 model = qm.build_sequential_model(rho0, first, u, second, p_tilde)
                 evolved = np.stack([u.matrix @ p @ u.matrix.conj().T for p in first.projectors])
                 pi = np.einsum("jab,iba->ji", np.stack(second.projectors), evolved).real
-                assert_same_bits(model.pi, np.where((pi < 0.0) & (pi > -qm.PROB_CLAMP), 0.0, pi))
+                scale = np.sqrt(np.outer(second.degeneracies, first.degeneracies))
+                assert (model.pi >= 0.0).all()
+                assert (np.abs(model.pi - pi) <= 2 * dim * EPS * scale).all()
                 assert_same_bits(model.x, probs / first.degeneracies)
+
+    def test_family_from_projectors_derives_its_isometry(self, case):
+        """Built from projectors (constructor, JSON, unpickling), a family keeps them as its
+        stack and derives columns grouped by outcome only when they are first read."""
+        dim, rng, families, _ = case
+        public = families["public"]
+        doc = [qm.matrix_to_json(p) for p in public.projectors]
+        for fam in (public, qm.family_from_json(doc), pickle.loads(pickle.dumps(public))):
+            assert "vectors" not in vars(fam)
+            v = fam.vectors
+            assert not v.flags.writeable and v.shape == (dim, dim)
+            assert qm.max_abs(v.conj().T @ v - np.eye(dim)) < qm.PROJECTOR_TOL
+            assert_same_bits(fam.clusters.sum(axis=1), fam.degeneracies)
+            for p, row in zip(fam.projectors, fam.clusters):
+                block = v[:, row == 1]
+                assert qm.max_abs(block @ block.conj().T - p) < qm.PROJECTOR_TOL
+        u = random_unitary(dim, rng)
+        for first, second in ((public, families["random_pvm"]), (families["spectral"], public)):
+            rho0 = qm.DensityOperator(sum(p / dim for p in first.projectors))
+            p_tilde = rng.dirichlet(np.ones(len(second)))
+            model = qm.build_sequential_model(rho0, first, u, second, p_tilde)
+            pi = [[np.trace(q @ u.matrix @ p @ u.matrix.conj().T).real for p in first.projectors]
+                  for q in second.projectors]
+            scale = np.sqrt(np.outer(second.degeneracies, first.degeneracies))
+            assert (np.abs(model.pi - pi) <= 2 * dim * EPS * scale).all()
+
+    def test_build_sequential_model_forms_no_product_of_projectors(self, case, monkeypatch):
+        """No einsum; the second family's projectors are never formed."""
+        dim, rng, families, _ = case
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args) or einsum(*args, **kw))
+        second = random_pvm(dim, random_ranks(dim, rng, degenerate=True), rng)
+        for first in families.values():
+            rho0 = qm.DensityOperator(sum(p / dim for p in first.projectors))
+            p_tilde = rng.dirichlet(np.ones(len(second)))
+            qm.build_sequential_model(rho0, first, random_unitary(dim, rng), second, p_tilde)
+        assert calls == [] and "stack" not in vars(second)
 
     def test_overlaps_hold_a_few_square_arrays(self):
         # 32 rank-1 clusters each: one (k_s, d, d) product per cluster of rho is 512 KiB,
@@ -820,7 +878,7 @@ class TestBatchedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 4 * square
-        assert "family" not in vars(first) and "family" not in vars(second)  # none was built
+        assert "stack" not in vars(first.family) and "stack" not in vars(second.family)
 
 
 class TestPickle:
