@@ -126,9 +126,9 @@ class MinimalityResult:
 def _minimality(
     rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition
 ) -> MinimalityResult:
-    w = sd_s.family.vectors
+    w, clusters = sd_s.family.vectors, sd_s.family.clusters
     m = dagger(w) @ np.stack((rho.matrix, sigma.matrix)) @ w  # W† rho W and W† sigma W
-    q, p_tilde = np.clip(np.diagonal(m, axis1=1, axis2=2).real @ sd_s.family.clusters.T, 0.0, None)
+    q, p_tilde = np.clip(np.diagonal(m, axis1=1, axis2=2).real @ clusters.T, 0.0, None)
     residuals = np.abs(p_tilde - q)
     return MinimalityResult(
         is_minimal=bool((residuals < VERDICT_TOL).all()),

@@ -17,8 +17,9 @@ A ``ProjectorFamily`` is both its read-only ``(k, d, d)`` ``stack`` of
 projectors and its isometry, the unitary ``vectors`` V with one-hot
 ``clusters`` rows C, P_i = V diag(C_i) V†; it holds the one it was built
 from and forms the other when first read.  ``build_sequential_model`` reads
-isometries, Pi(j|i) = C_2 |W†UV|² C_1ᵀ; the Born rule's trace, the
-repeatability residuals and the Lueders and dilation kernels read ``stack``.
+isometries, Pi(j|i) = C_2 |W†UV|² C_1ᵀ, also for its Born cross-check; the
+outcome probabilities, the repeatability residuals and the Lueders and
+dilation kernels read ``stack``.
 A spectral decomposition is its cluster eigenvalues and the family of its
 ``eigh`` columns.  A DensityOperator keeps its positivity check's ``spectrum``.
 
@@ -265,8 +266,7 @@ class ProjectorFamily:
 
     def _hold(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "projectors", tuple(stack))
+        vars(self).update(stack=stack, projectors=tuple(stack))
 
     def __reduce__(self):
         return type(self), (self.projectors,)
@@ -526,8 +526,10 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     sd1 = yield spectral_projectors, _as_square_complex(h1, "operator")
     if sd0.family.dim != sd1.family.dim or u.dim != sd0.family.dim:
         raise ShapeError("h0, h1 and u must share one dimension")
-    energies0, energies1 = sd0.eigenvalues, sd1.eigenvalues
-    d0, d1 = sd0.family.degeneracies, sd1.family.degeneracies
+    energies0 = sd0.eigenvalues
+    energies1 = sd1.eigenvalues
+    d0 = sd0.family.degeneracies
+    d1 = sd1.family.degeneracies
 
     # shifted Boltzmann weights avoid overflow at large beta
     w0 = np.exp(-beta * (energies0 - energies0.min()))
@@ -551,9 +553,16 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
         - math.log(z0_shifted) + beta * energies0.min()
     )
     rhs = math.exp(log_ratio)
-    return WorkProtocolResult(work=work, probability=probability, lhs=lhs, rhs=rhs,
-                              delta_f=-log_ratio / beta, model=model,
-                              energies_first=energies0, energies_second=energies1)
+    return WorkProtocolResult(
+        work=work,
+        probability=probability,
+        lhs=lhs,
+        rhs=rhs,
+        delta_f=-log_ratio / beta,
+        model=model,
+        energies_first=energies0,
+        energies_second=energies1,
+    )
 
 
 def tensor_product(a, b) -> np.ndarray:

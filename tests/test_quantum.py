@@ -855,7 +855,12 @@ class TestBatchedKernels:
         dim, rng, families, _ = case
         calls = []
         einsum = np.einsum
-        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args) or einsum(*args, **kw))
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
         second = random_pvm(dim, random_ranks(dim, rng, degenerate=True), rng)
         for first in families.values():
             rho0 = qm.DensityOperator(sum(p / dim for p in first.projectors))
