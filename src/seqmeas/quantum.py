@@ -58,7 +58,7 @@ DEGENERACY_TOL = 1e-6
 CLUSTER_TOL = 1e-8
 #: bound on the residuals of the repeatability assumption
 REPEATABILITY_TOL = 1e-8
-#: outcome probabilities in [-PROB_CLAMP, 0) are treated as exact zeros
+#: outcome probabilities at or below this get no normalised repeatability residual
 PROB_CLAMP = 1e-12
 
 
@@ -319,7 +319,7 @@ class ProjectorFamily:
 
     @property
     def dim(self) -> int:
-        return int(self.degeneracies.sum())  # the ranks of a complete family sum to d
+        return sum(self.degeneracies.tolist())  # the ranks of a complete family sum to d
 
 
 @dataclass(frozen=True)

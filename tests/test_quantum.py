@@ -209,7 +209,7 @@ class TestSpectralProjectors:
             assert np.array_equal(sd.family.degeneracies, ref.degeneracies)
             one_hot = np.repeat(np.eye(len(ref), dtype=int), ref.degeneracies, axis=1)
             assert_same_bits(sd.family.clusters, one_hot)
-            assert sd.family is sd.family  # built once, when first read
+            assert sd.family.stack is sd.family.stack  # formed once, when first read
 
     def test_batch_equals_one_at_a_time_on_hard_inputs(self):
         """One batch of requests mixing d = 1..64, gaps near CLUSTER_TOL and degenerate
@@ -405,8 +405,8 @@ class TestBuildSequentialModel:
                     assert abs(joint[i, j] - direct) < 1e-10
 
     def test_rounding_negative_overlaps_are_clamped(self):
-        """A rank-one family measured twice: Tr(P_j P_i) is an exact 0 for j != i, but
-        rounding leaves some entries of order -1e-17, which ``pi`` must hold as 0."""
+        """A rank-one family measured twice: Tr(P_j P_i) is an exact 0 for j != i, but the
+        trace form rounds some to order -1e-17; ``pi``, a sum of |W†UV|², stays >= 0."""
         rng = rng_for("build-clamp")
         raw_minima = []
         for d in range(2, 9):
@@ -417,7 +417,7 @@ class TestBuildSequentialModel:
             raw_minima.append(np.einsum("jab,iba->ji", fam.stack, fam.stack).real.min())
             assert model.pi.min() >= 0.0, d
             assert sm.validate_model(model) == [], d
-        assert min(raw_minima) < 0.0  # the clamp is reached
+        assert min(raw_minima) < 0.0  # the trace form does round negative here
 
     def test_assumption_violation_refused(self):
         rho0 = qm.DensityOperator(PLUS)
@@ -794,11 +794,12 @@ class TestBatchedKernels:
             assert np.abs(got - want).max() <= 4 * dim * EPS
 
     # build_sequential_model reads the families' isometries, Pi = C_2 |W†UV|² C_1ᵀ, and
-    # agrees with the trace loop within 2 d eps sqrt(d_i d_j) per entry.  Each kernel's
-    # worst-case first-order error is of order d² eps sqrt(d_i d_j) (``tests/test_oracle.py``
-    # derives 7 d² eps for both together), summing d² rounded terms; rounding errors of
-    # a sum grow like the square root of its length in practice (Higham, Sec. 3.1), which
-    # gives d eps sqrt(d_i d_j); c = 2 is four times the 0.5 measured here at d = 2..64.
+    # agrees with the trace loop within 2 d eps sqrt(d_i d_j) per entry.  The two kernels'
+    # worst-case first-order errors are 3 d² eps sqrt(d_i d_j) (the loop) and 7 d² eps
+    # sqrt(d_i d_j) (the isometry; both derived in ``tests/test_oracle.py``), from sums of
+    # about d² rounded terms; rounding errors of a sum grow like the square root of its
+    # length in practice (Higham, Sec. 3.1), which turns d² into d; c = 2 is four times
+    # the 0.5 measured here at d = 2..64.
     def test_assumption_and_build_sequential_model(self, case):
         dim, rng, families, _ = case
         u = random_unitary(dim, rng)
