@@ -303,11 +303,12 @@ def model_oracle(inputs: dict, zeroed) -> dict:
                 "bounds": bounds}
 
 
-def work_oracle(model: dict, result, beta: float) -> dict:
+def work_oracle(model: dict, inputs: dict, result, beta: float) -> dict:
     """<exp(-beta w)> and exp(-beta dF) at 40 digits with their bounds, from ``model_oracle``'s
-    values and the protocol's float energies and beta taken as exact."""
+    values, the recorded families' degeneracies and the protocol's float energies and beta
+    taken as exact."""
     e0, e1 = (exact(e).tolist() for e in (result.energies_first, result.energies_second))
-    d0, d1 = (np.rint(result.model.pi.sum(axis=axis)).astype(int).tolist() for axis in (0, 1))
+    d0, d1 = (inputs[key].degeneracies.tolist() for key in ("first_family", "second_family"))
     pi, x, b_pi = model["pi"], model["x"], model["bounds"]["pi"]
     unit = EPS / 2
     with mp.workdps(DIGITS):
@@ -365,7 +366,7 @@ def model_errors(name: str, monkeypatch, trials: int = TRIALS) -> dict:
     for call, model, got, result, beta in model_trials(name, monkeypatch, trials):
         want = model_oracle(call, (model.x == 0.0).tolist())
         if result is not None:
-            work = work_oracle(want, result, beta)
+            work = work_oracle(want, call, result, beta)
             want = {**want, **work, "bounds": {**want["bounds"], **work["bounds"]}}
         with mp.workdps(DIGITS):
             for key, value in got.items():
