@@ -92,6 +92,31 @@ a unitary U the entrywise modulus has | |U| |_2 <= |U|_F = sqrt(d).
   log and product by u times its value, and the three additions by u times
   T = |log z_1| + beta |F_min| + |log z_0| + beta |E_min| each:
   B_rhs = rhs u (sum over both of (2 beta R + 3 + k) + 4 T + 2).
+
+The Lueders image.  On the first trials of ``luders`` and ``minimal`` (rho and
+the family) and of ``jcheck`` (each model's rho0 and first family), the oracle
+takes rho and the family's float columns V as exact, with P_i = V_i V_i† for
+the columns V_i of outcome i and M = V† rho V.  At 40 digits it computes the
+image sum_i P_i rho P_i = V (B o M) V†, B = C^T C the block mask of the one-hot
+clusters C, the probabilities p_i = Tr(rho P_i), the sums of Re M_cc over the
+columns of i, and the repeatability block norm r_i of
+P_i rho P_i - (p_i/d_i) P_i = V_i (M_ii - (p_i/d_i) I) V_i†.  The bounds are
+componentwise and first order: a product of length n is off by at most
+g_n = (n + 2) u times the product of the moduli (Higham Sec. 3.5).  With
+Y = |V|^T |rho| |V|, W_i = |V_i| |V_i|^T and Z_i = |V_i| Y_ii |V_i|^T, both
+kernels are covered, the stack kernel (P_i rounded from V_i V_i† by
+(g_{d_i} + u) W_i, then P_i rho P_i and a sum over k outcomes) and the
+isometry kernel (M, then V (B o M) V†: four products of length d):
+
+* image: B_sigma = (4 g_d + (k + 1) u) sum_i Z_i + u |sigma|.  The stack
+  kernel's factor is 2 g_d + 2 g_{d_i} + 2u plus (k - 1) u for the sum, the
+  isometry kernel's 4 g_d; the last u |sigma| is the symmetrisation.
+* p_i: B_p = 3 g_d Tr Y_ii.  The trace of rho P_i rounds by
+  (g_d + g_{d_i} + (d + 1) u) Tr Y_ii, the diagonal of M by 2 g_d Tr Y_ii
+  and its cluster sum by g_d Tr Y_ii more.
+* r_i, the max-norm of the block: the largest over the block's entries of
+  (2 g_d + 2 g_{d_i} + 2u) Z_i + (3 g_d Tr Y_ii + (g_{d_i} + 3u) p_i) W_i / d_i,
+  plus 2 u r_i for the subtraction and the modulus.
 """
 
 import math
@@ -386,4 +411,87 @@ def test_model_values_within_forward_error_bounds(name, monkeypatch):
     worst = model_errors(name, monkeypatch)
     keys = {"jcheck": {"pi", "j_residual", "j_reverse_residual"}, "jarzynski": {"pi", "lhs", "rhs"}}
     assert set(worst) == keys[name]
+    assert all(ratio <= 1.0 for _, ratio in worst.values()), worst
+
+
+def luders_oracle(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dict:
+    """The Lueders image, p_i and the repeatability block norms at 40 digits, from rho and
+    the family's float columns taken as exact, with their componentwise bounds."""
+    v, clusters = family.vectors, family.clusters
+    d, k = v.shape[0], len(clusters)
+    cols = [np.flatnonzero(row) for row in clusters]
+    unit = EPS / 2
+
+    def g(n):
+        return (n + 2) * unit
+
+    with mp.workdps(DIGITS):
+        ve, vh = exact(v), np.conj(exact(v).T)
+        m = vh @ exact(rho.matrix) @ ve
+        image = ve @ np.where((clusters.T @ clusters).astype(bool), m, 0) @ vh
+        probs = [mp.fsum(m[c, c].real for c in cs) for cs in cols]
+        blocks = [m[np.ix_(cs, cs)] - p / len(cs) * np.eye(len(cs)) for p, cs in zip(probs, cols)]
+        norms = [max(abs(z) for z in (ve[:, cs] @ b @ vh[cs]).ravel())
+                 for b, cs in zip(blocks, cols)]
+    av = np.abs(v)
+    y = av.T @ np.abs(rho.matrix) @ av
+    tr_y = [y[cs, cs].sum() for cs in cols]
+    w = [av[:, cs] @ av[:, cs].T for cs in cols]
+    z = [av[:, cs] @ y[np.ix_(cs, cs)] @ av[:, cs].T for cs in cols]
+    sigma = np.abs(np.array(image.tolist(), dtype=complex))
+    bounds = {
+        "image": (4 * g(d) + (k + 1) * unit) * sum(z) + unit * sigma,
+        "p": [3 * g(d) * t for t in tr_y],
+        "block": [
+            ((2 * g(d) + 2 * g(len(cs)) + 2 * unit) * zi
+             + (3 * g(d) * t + (g(len(cs)) + 3 * unit) * float(p)) * wi / len(cs)).max()
+            + 2 * unit * float(r)
+            for cs, zi, wi, t, p, r in zip(cols, z, w, tr_y, probs, norms)
+        ],
+    }
+    return {"image": image, "p": probs, "block": norms, "bounds": bounds}
+
+
+def luders_inputs(name: str, monkeypatch, trials: int = TRIALS):
+    """(rho, family) of the first ``trials`` trials of ``name``: the inputs of a ``luders``
+    or ``minimal`` trial, or a ``jcheck`` model's rho0 and first family."""
+    if name == "jcheck":
+        for call, *_ in model_trials(name, monkeypatch, trials):
+            yield call["rho0"], call["first_family"]
+        return
+    config = hn.acceptance_config()
+    for t in range(trials):
+        inputs, _ = hn.CHECK_SPECS[name].generate(hn.trial_rng(config.seed, name, t), config, t)
+        yield inputs["rho"], inputs["family"]
+
+
+def luders_errors(name: str, monkeypatch, trials: int = TRIALS) -> dict:
+    """Per quantity, the largest |float - oracle| and the largest ratio of it to its bound."""
+    worst: dict = {}
+    for rho, family in luders_inputs(name, monkeypatch, trials):
+        want = luders_oracle(rho, family)
+        got = {"image": qm.luders_channel(rho, family).matrix,
+               "p": qm.outcome_probabilities(rho, family),
+               "block": qm.assumption_holds(rho, family).weighted_residuals}
+        with mp.workdps(DIGITS):
+            for key, value in got.items():
+                values = np.ravel(value)
+                exact_values = np.ravel(np.array(want[key], dtype=object))
+                errs = [abs((mp.mpc if np.iscomplexobj(values) else mp.mpf)(g) - o)
+                        for g, o in zip(values.tolist(), exact_values)]
+                bound = np.ravel(want["bounds"][key])
+                err = float(max(errs))
+                ratio = float(max(e / b if b else (0 if e == 0 else math.inf)
+                                  for e, b in zip(errs, bound)))
+                old = worst.get(key, (0.0, 0.0))
+                worst[key] = (max(old[0], err), max(old[1], ratio))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["luders", "minimal", "jcheck"])
+def test_luders_values_within_forward_error_bounds(name, monkeypatch):
+    """The Lueders image, the outcome probabilities and the repeatability block norms, each
+    within its componentwise first-order bound of the 40-digit value."""
+    worst = luders_errors(name, monkeypatch)
+    assert set(worst) == {"image", "p", "block"}
     assert all(ratio <= 1.0 for _, ratio in worst.values()), worst
