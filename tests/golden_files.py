@@ -7,15 +7,22 @@ exactly, and each file re-serialised the way the run's digest was once taken
 bytes, so the text is as strict as a digest.
 
 The tests compare a fresh run with each file and never write one.  After a
-deliberate change of bits, regenerate the files and commit their diff::
+deliberate change of bits, list what moved, then regenerate the files and
+commit their diff::
 
+    PYTHONPATH=src python tests/golden_files.py --moves
     PYTHONPATH=src python tests/golden_files.py
+
+``--moves`` writes nothing.  It prints each number that changed with its move
+in units of eps, and each group of values that a fresh run gained or lost.
 """
 
 import contextlib
 import dataclasses
 import difflib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import seqmeas.harness as hn
@@ -89,8 +96,49 @@ def diff(name: str, fresh: str, lines: int = 40) -> str:
     return "\n".join(line for line, _ in zip(out, range(lines)))
 
 
+EPS = 2.0**-52
+
+
+def leaves(doc, path: str = "") -> dict:
+    """Every leaf value of a JSON document by its path.  A list entry that names a check is
+    keyed by it: a bundle by ``check#trial``, an outcome by ``name``, the rest by index."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = ((f"{v['check']}#{v['trial']}" if isinstance(v, dict) and "trial" in v
+                  else v["name"] if isinstance(v, dict) and "name" in v else k, v)
+                 for k, v in enumerate(doc))
+    else:
+        return {path: doc}
+    out = {}
+    for key, value in items:
+        out.update(leaves(value, f"{path}/{key}"))
+    return out
+
+
+def moves(name: str, fresh: str) -> list:
+    """Lines naming what moved from golden file ``name`` to the ``fresh`` text: each changed
+    leaf, numbers with their move in eps, then the values gained or lost, counted per
+    group of their first three path components."""
+    old, new = leaves(json.loads((GOLDEN / name).read_text())), leaves(json.loads(fresh))
+    lines = []
+    for path in sorted(old.keys() & new.keys()):
+        a, b = old[path], new[path]
+        if a == b and type(a) is type(b):
+            continue
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+        lines.append(f"{path}: {a!r} -> {b!r}" + (f" ({(b - a) / EPS:+.1f} eps)" if numbers else ""))
+    for sign, paths in (("-", old.keys() - new.keys()), ("+", new.keys() - old.keys())):
+        groups = Counter("/".join(p.split("/")[:4]) for p in paths)
+        lines += [f"{sign} {group} ({count} values)" for group, count in sorted(groups.items())]
+    return lines
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, make in TEXTS.items():
-        (GOLDEN / name).write_text(make())
-        print(f"wrote {GOLDEN / name}")
+        if sys.argv[1:] == ["--moves"]:
+            print(f"{name}:", *moves(name, make()) or ["unchanged"], sep="\n  ")
+        else:
+            (GOLDEN / name).write_text(make())
+            print(f"wrote {GOLDEN / name}")
