@@ -338,8 +338,8 @@ def _draw_model(rng: np.random.Generator, dim: int, force_zero: bool):
     g2 = _gaussian(rng, dim, dim)
     p_tilde = rng.dirichlet(np.ones(len(ranks2)))
     fam1 = yield _pvms, g1, ranks1
-    mixture = (weights / fam1.degeneracies)[:, None, None] * fam1.stack
-    rho0 = yield qm.DensityOperator._stack, mixture.sum(axis=0)
+    mixture = qm._weighted(fam1.vectors, np.repeat(weights / fam1.degeneracies, fam1.degeneracies))
+    rho0 = yield qm.DensityOperator._stack, mixture
     u = qm.Unitary((yield _haar, g_u))
     fam2 = yield _pvms, g2, ranks2
     model = qm.build_sequential_model(rho0, fam1, u, fam2, p_tilde)
@@ -477,9 +477,7 @@ def _draw_grounded_hermitian(rng, dim):
     """
     eigs = rng.uniform(-2.0, 2.0, dim)
     eigs = eigs - (eigs.min() + 2.0)
-    v = yield _haar, _gaussian(rng, dim, dim)
-    h = (v * eigs[np.newaxis, :]) @ v.conj().T
-    return 0.5 * (h + h.conj().T)
+    return qm._weighted((yield _haar, _gaussian(rng, dim, dim)), eigs)
 
 
 @_one_at_a_time
@@ -589,17 +587,13 @@ def _operator_to_json(op) -> dict:
     return qm.matrix_to_json(op.matrix)
 
 
-def _projectors_to_json(family) -> list:
-    return [qm.matrix_to_json(p) for p in family.projectors]
-
-
 #: each trial input's bundle key and its (to JSON, from JSON) pair
 _CODECS = {
     "model": ("model", sm.model_to_json, sm.model_from_json),
     "rho": ("rho", _operator_to_json, qm.density_from_json),
     "sigma": ("sigma", _operator_to_json, qm.density_from_json),
-    "family": ("projectors", _projectors_to_json, qm.family_from_json),
-    "ancilla_family": ("ancilla_projectors", _projectors_to_json, qm.family_from_json),
+    "family": ("projectors", qm.family_to_json, qm.family_from_json),
+    "ancilla_family": ("ancilla_projectors", qm.family_to_json, qm.family_from_json),
     "u": ("u", _operator_to_json, qm.unitary_from_json),
     "u_total": ("u_total", _operator_to_json, qm.unitary_from_json),
     "h0": ("h0", qm.matrix_to_json, qm.matrix_from_json),

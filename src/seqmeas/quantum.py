@@ -13,19 +13,18 @@ orthonormal by construction, are not checked again.  Trial generation
 validates densities a stack at a time, bit for bit as one at a time.
 Functions made with ``_one_at_a_time`` yield requests for stacked kernels
 (such as ``spectral_projectors`` of a stack); :func:`_build` runs a batch of them.
-A ``ProjectorFamily`` is both its read-only ``(k, d, d)`` ``stack`` of
-projectors and its isometry, the unitary ``vectors`` V with one-hot
-``clusters`` rows C, P_i = V diag(C_i) V†; it holds the one it was built
-from and forms the other when first read.  ``build_sequential_model`` reads
-isometries, Pi(j|i) = C_2 |W†UV|² C_1ᵀ, also for its Born cross-check; the
-outcome probabilities, the repeatability residuals and the Lueders and
-dilation kernels read ``stack``.
+A ``ProjectorFamily`` is its isometry, the unitary ``vectors`` V with one-hot
+``clusters`` rows C, P_i = V diag(C_i) V†.  Every kernel but dilation reads V:
+with M = V† rho V and the block mask B = CᵀC, Tr(rho P_i) = C Re diag(M), the
+Lueders image is V (B o M) V† and Pi(j|i) = C_2 |W†UV|² C_1ᵀ.
+``dilation_analysis`` reads the ``(k, d, d)`` ``stack``, formed when first read.
 A spectral decomposition is its cluster eigenvalues and the family of its
 ``eigh`` columns.  A DensityOperator keeps its positivity check's ``spectrum``.
 
 Conventions:
   * tensor products are left-factor-major, i.e. ``numpy.kron``;
-  * max-norm ``|A|_max = max |A_ab|`` is used for all residuals;
+  * max-norm ``|A|_max = max |A_ab|`` is used for all residuals but the
+    repeatability one, a Frobenius norm, which a change of basis keeps;
   * spectral clusters are ordered by ascending eigenvalue.
 """
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -58,8 +57,6 @@ DEGENERACY_TOL = 1e-6
 CLUSTER_TOL = 1e-8
 #: bound on the residuals of the repeatability assumption
 REPEATABILITY_TOL = 1e-8
-#: outcome probabilities at or below this get no normalised repeatability residual
-PROB_CLAMP = 1e-12
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -219,19 +216,22 @@ def identity_unitary(dim: int) -> Unitary:
     return Unitary(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True)
 class ProjectorFamily:
-    """Complete family of mutually orthogonal projectors (a PVM), and its isometry.
+    """Complete family of mutually orthogonal projectors (a PVM), held as its isometry.
 
-    Outcome ``k`` is ``projectors[k]``, in the order supplied, a read-only view
-    into ``stack``, the one ``(k, d, d)`` copy; ``degeneracies`` holds the ranks.
-    The isometry is the unitary ``vectors``, columns grouped by outcome as the
-    one-hot ``(k, d)`` rows of ``clusters`` say.  Built from columns, a family
-    forms ``stack`` when first read; built from projectors, it keeps them and
-    derives ``vectors`` when first read, from one ``eigh`` of sum_k k P_k.
+    A family holds, each set once when it is built and read-only, the unitary
+    ``vectors`` V with its columns grouped by outcome, the ranks
+    ``degeneracies`` and the one-hot ``(k, d)`` rows ``clusters`` C that say
+    which columns each outcome holds: P_k = V diag(C_k) V†.  The public
+    constructor takes the projectors, outcome ``k`` being ``projectors[k]``,
+    checks them as one stack, keeps them as ``stack`` and derives V from one
+    ``eigh`` of sum_k k P_k.  A family built from columns forms ``stack``, the
+    one ``(k, d, d)`` copy, and ``projectors``, views into it, when first read.
     """
 
-    projectors: tuple
+    def __init__(self, projectors):
+        vars(self)["projectors"] = projectors  # as a dataclass holds its field for __post_init__
+        self.__post_init__()
 
     def __post_init__(self):
         projs = [_as_square_complex(p, "projector") for p in self.projectors]
@@ -261,31 +261,40 @@ class ProjectorFamily:
             raise InvalidOperatorError(
                 f"projector {k} has non-integer rank", "integer_degeneracy", off[k]
             )
-        object.__setattr__(self, "degeneracies", ranks.astype(int))
-        self._hold(s)
+        levels = np.arange(len(s))[:, np.newaxis, np.newaxis]
+        vectors = np.linalg.eigh((levels * s).sum(axis=0))[1]  # eigh orders the columns by outcome
+        s.setflags(write=False)
+        (family,) = self._from_column_stack(vectors[np.newaxis], [ranks.astype(int).tolist()])
+        vars(self).update(vars(family), stack=s, projectors=tuple(s))
 
-    def _hold(self, stack: np.ndarray) -> None:
-        stack.setflags(write=False)
-        vars(self).update(stack=stack, projectors=tuple(stack))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):
-        return type(self), (self.projectors,)
+        return _family_from_columns, (self.vectors, self.degeneracies.tolist())
 
     @classmethod
     def _from_column_stack(cls, vs: np.ndarray, widths) -> list:
         """Families of isometry ``vs[i]``, whose consecutive column blocks have the
         degeneracies ``widths[i]``.  The columns are orthonormal by construction, as
         ``eigh`` eigenvectors of a checked Hermitian matrix and the QR columns of finite
-        Gaussian blocks are, so no axiom is checked again."""
+        Gaussian blocks are, so no axiom is checked again.  Families of one composition
+        share their ranks and ``clusters``."""
+        shared: dict = {}
         out = [object.__new__(cls) for _ in widths]
-        for family, v, w in zip(out, vs, widths):
+        for family, v, w in zip(out, vs, map(tuple, widths)):
+            if w not in shared:
+                ranks = np.array(w, dtype=int)
+                shared[w] = {"degeneracies": ranks,
+                             "clusters": np.repeat(np.eye(len(w), dtype=int), ranks, axis=1)}
+                for array in shared[w].values():
+                    array.setflags(write=False)
             v.setflags(write=False)
-            vars(family).update(vectors=v, degeneracies=np.array(w, dtype=int))
+            vars(family).update(shared[w], vectors=v)
         return out
 
     def _outer_products(self) -> np.ndarray:
-        """``P_a = B_a B_a†`` of the column blocks ``B_a`` of ``vectors``; ``0.5 (p + p†)`` is
-        exactly Hermitian."""
+        """``P_a = B_a B_a†`` of the column blocks ``B_a`` of ``vectors``, made exactly Hermitian."""
         v, widths = self.vectors, self.degeneracies
         if len(widths) == len(v):  # all rank one: one batched (d, 1) @ (1, d) product
             columns = v.T[:, :, np.newaxis]
@@ -295,31 +304,41 @@ class ProjectorFamily:
             for p, stop, width in zip(stack, accumulate(widths), widths):
                 block = v[:, stop - width : stop]
                 np.matmul(block, dagger(block), out=p)
-        return 0.5 * (stack + dagger(stack))
+        return _hermitian(stack)
 
-    def __getattr__(self, name):
-        """Form what a family does not hold yet the first time it is read."""
-        held = vars(self)
-        if name in ("stack", "projectors") and "vectors" in held:
-            self._hold(self._outer_products())
-            return held[name]
-        if name == "vectors" and "stack" in held:  # eigh orders the columns by outcome
-            levels = np.arange(len(self))[:, np.newaxis, np.newaxis]
-            value = np.linalg.eigh((levels * self.stack).sum(axis=0))[1]
-        elif name == "clusters":
-            value = np.repeat(np.eye(len(self), dtype=int), self.degeneracies, axis=1)
-        else:
-            raise AttributeError(name)
-        value.setflags(write=False)
-        held[name] = value
-        return value
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        return _frozen(self._outer_products())
+
+    @functools.cached_property
+    def projectors(self) -> tuple:
+        return tuple(self.stack)
 
     def __len__(self) -> int:
         return len(self.degeneracies)
 
     @property
     def dim(self) -> int:
-        return sum(self.degeneracies.tolist())  # the ranks of a complete family sum to d
+        return len(self.vectors)
+
+
+def _family_from_columns(vectors, degeneracies) -> ProjectorFamily:
+    """The family of columns ``vectors`` grouped by the ranks ``degeneracies``, checked:
+    finite square columns with V†V = I within ``PROJECTOR_TOL``, and positive integer
+    ranks, never bools, that sum to d."""
+    v = _as_square_complex(vectors, "family vectors")
+    if not (
+        isinstance(degeneracies, list)
+        and all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r >= 1
+                for r in degeneracies)
+        and sum(degeneracies) == len(v)
+    ):
+        raise InputError(
+            f"degeneracies {degeneracies!r} must be positive integers summing to dim={len(v)}"
+        )
+    _gate(max_abs(dagger(v) @ v - np.eye(len(v))), PROJECTOR_TOL,
+          "family vectors are not orthonormal", "orthonormal")
+    return ProjectorFamily._from_column_stack(v[np.newaxis], [degeneracies])[0]
 
 
 @dataclass(frozen=True)
@@ -365,57 +384,68 @@ def spectral_projectors(a):
     return out if v.ndim == 3 else out[0]
 
 
-def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.ndarray:
-    """p(i) = Tr(rho P_i), clamped to [0, 1]."""
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """``0.5 (a + a†)``, exactly Hermitian."""
+    return 0.5 * (a + dagger(a))
+
+
+def _weighted(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``V diag(weights) V†``, exactly Hermitian."""
+    return _hermitian((v * weights) @ dagger(v))
+
+
+def _block_mask(family: ProjectorFamily) -> np.ndarray:
+    """B = CᵀC, the ``(d, d)`` mask of the pairs of columns that share an outcome."""
+    labels = np.repeat(np.arange(len(family)), family.degeneracies)
+    return labels[:, np.newaxis] == labels
+
+
+def _compressed(rho: DensityOperator, family: ProjectorFamily) -> np.ndarray:
+    """M = V† rho V, rho in the family's columns."""
     if rho.dim != family.dim:
         raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
-    return np.clip(np.trace(rho.matrix @ family.stack, axis1=1, axis2=2).real, 0.0, 1.0)
+    return dagger(family.vectors) @ rho.matrix @ family.vectors
+
+
+def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.ndarray:
+    """p(i) = Tr(rho P_i) = C Re diag(V† rho V), clamped to [0, 1]."""
+    return np.clip(family.clusters @ np.diagonal(_compressed(rho, family)).real, 0.0, 1.0)
 
 
 @_one_at_a_time
 def luders_channel(rho: DensityOperator, family: ProjectorFamily) -> DensityOperator:
-    """Non-selective state change sum_i P_i rho P_i."""
-    if rho.dim != family.dim:
-        raise ShapeError(f"state dim {rho.dim} != family dim {family.dim}")
-    out = (family.stack @ rho.matrix @ family.stack).sum(axis=0)
-    return (yield DensityOperator._stack, 0.5 * (out + dagger(out)))
+    """Non-selective state change sum_i P_i rho P_i = V (B o V† rho V) V†."""
+    image = family.vectors @ (_compressed(rho, family) * _block_mask(family)) @ dagger(family.vectors)
+    return (yield DensityOperator._stack, _hermitian(image))
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
     """Per-outcome residuals of the repeatability assumption.
 
-    ``residuals[i]`` is |P_i rho P_i / p(i) - P_i/d(i)|_max for outcomes
-    with p(i) > 0 and None otherwise; ``holds`` covers only those testable
-    outcomes.  ``weighted_residuals[i]`` is the unnormalised block
-    deviation |P_i rho P_i - p(i) P_i/d(i)|_max, which stays well
-    conditioned as p(i) -> 0 (the normalised residual divides float noise
-    by p(i)).  ``all_outcomes_populated`` records whether every outcome
-    has positive probability.
+    ``weighted_residuals[i]`` is the Frobenius norm of the block
+    P_i rho P_i - p(i) P_i/d(i), |M_ii - (p(i)/d(i)) I|_F for M = V† rho V,
+    which does not depend on the basis and stays well conditioned as
+    p(i) -> 0; ``weighted_holds`` says whether all lie below ``REPEATABILITY_TOL``.
     """
 
-    holds: bool
-    residuals: tuple
     weighted_residuals: tuple
     weighted_holds: bool
     probabilities: np.ndarray
-    all_outcomes_populated: bool
 
 
 def assumption_holds(rho0: DensityOperator, family: ProjectorFamily) -> AssumptionReport:
     """Check that selection leaves the maximally mixed state on each eigenspace."""
     probs = outcome_probabilities(rho0, family)
-    s = family.stack
-    blocks = s @ rho0.matrix @ s - probs[:, None, None] * s / family.degeneracies[:, None, None]
-    weighted = np.abs(blocks).max(axis=(1, 2))
-    residuals = tuple(None if p <= PROB_CLAMP else w / p for w, p in zip(weighted.tolist(), probs))
+    deviation = _compressed(rho0, family) * _block_mask(family)
+    deviation[np.diag_indices_from(deviation)] -= np.repeat(
+        probs / family.degeneracies, family.degeneracies
+    )
+    weighted = np.sqrt(family.clusters @ (np.abs(deviation) ** 2).sum(axis=1))
     return AssumptionReport(
-        holds=all(r is None or r < REPEATABILITY_TOL for r in residuals),
-        residuals=residuals,
         weighted_residuals=tuple(weighted.tolist()),
         weighted_holds=bool(weighted.max() < REPEATABILITY_TOL),
         probabilities=probs,
-        all_outcomes_populated=bool((probs > PROB_CLAMP).all()),
     )
 
 
@@ -461,8 +491,8 @@ def build_sequential_model(
             f"repeatability assumption fails (worst weighted residual {worst:.3e})", report
         )
 
-    v, c1, c2 = first_family.vectors, first_family.clusters, second_family.clusters
-    m = dagger(second_family.vectors) @ u.matrix @ v  # M = W† U V
+    c1, c2 = first_family.clusters, second_family.clusters
+    m = dagger(second_family.vectors) @ u.matrix @ first_family.vectors  # M = W† U V
     pi = c2 @ np.abs(m) ** 2 @ c1.T
 
     if probabilities is None:
@@ -487,7 +517,7 @@ def build_sequential_model(
     # cross-check: the induced joint distribution must match the Born rule,
     # Tr(Q_j U P_i rho0 P_i U†) = C_2 Re(conj(M) (M B)) C_1ᵀ with B the
     # block-diagonal part of V† rho0 V
-    block = (dagger(v) @ rho0.matrix @ v) * (c1.T @ c1)
+    block = _compressed(rho0, first_family) * _block_mask(first_family)
     direct = c2 @ (m.conj() * (m @ block)).real @ c1.T
     dev = max_abs(pi * x[np.newaxis, :] - direct)
     if not dev < 1e-10:
@@ -534,7 +564,7 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     # shifted Boltzmann weights avoid overflow at large beta
     w0 = np.exp(-beta * (energies0 - energies0.min()))
     z0_shifted = float((d0 * w0).sum())
-    boltzmann = ((w0 / z0_shifted)[:, None, None] * sd0.family.stack).sum(axis=0)
+    boltzmann = _weighted(sd0.family.vectors, np.repeat(w0 / z0_shifted, d0))
     rho0 = yield DensityOperator._stack, boltzmann
     w1 = np.exp(-beta * (energies1 - energies1.min()))
     z1_shifted = float((d1 * w1).sum())
@@ -548,17 +578,16 @@ def two_point_work_protocol(h0, h1, u: Unitary, beta: float) -> WorkProtocolResu
     work = energies1[np.newaxis, :] - energies0[:, np.newaxis]
     probability = (model.pi * model.x[np.newaxis, :]).T
     lhs = float((probability * np.exp(-beta * work)).sum())
-    log_ratio = (
-        math.log(z1_shifted) - beta * energies1.min()
-        - math.log(z0_shifted) + beta * energies0.min()
-    )
-    rhs = math.exp(log_ratio)
+    # exp(-beta dF) = (z1/z0) exp(-beta (F_min - E_min)): the exponent is near zero for
+    # spectra anchored at one ground energy, so it does not round at the size of beta E_min
+    ratio = z1_shifted / z0_shifted
+    shift = float(energies1.min() - energies0.min())
     return WorkProtocolResult(
         work=work,
         probability=probability,
         lhs=lhs,
-        rhs=rhs,
-        delta_f=-log_ratio / beta,
+        rhs=ratio * math.exp(-beta * shift),
+        delta_f=shift - math.log(ratio) / beta,
         model=model,
         energies_first=energies0,
         energies_second=energies1,
@@ -641,7 +670,7 @@ def dilation_analysis(
 
     q_projs = dagger(u) @ lifted @ u
     rho_prime_m = (q_projs @ initial @ q_projs).sum(axis=0)
-    rho_prime = yield DensityOperator._stack, 0.5 * (rho_prime_m + dagger(rho_prime_m))
+    rho_prime = yield DensityOperator._stack, _hermitian(rho_prime_m)
 
     s1 = von_neumann_entropy(rho)
     s2 = von_neumann_entropy(rho_prime)
@@ -700,7 +729,11 @@ def unitary_from_json(obj: dict) -> Unitary:
     return Unitary(matrix_from_json(obj))
 
 
-def family_from_json(objs) -> ProjectorFamily:
-    if not isinstance(objs, list):
-        raise InputError("projectors must be a list of matrix documents")
-    return ProjectorFamily(tuple(matrix_from_json(o) for o in objs))
+def family_to_json(family: ProjectorFamily) -> dict:
+    """A family as its exact columns and ranks."""
+    return {"vectors": matrix_to_json(family.vectors), "degeneracies": family.degeneracies.tolist()}
+
+
+def family_from_json(obj: dict) -> ProjectorFamily:
+    exact_keys(obj, ("vectors", "degeneracies"), "family document")
+    return _family_from_columns(matrix_from_json(obj["vectors"]), obj["degeneracies"])

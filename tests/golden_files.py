@@ -116,10 +116,18 @@ def leaves(doc, path: str = "") -> dict:
     return out
 
 
+def _group(path: str, present: set) -> str:
+    """The shortest prefix of ``path``, of one to three components, absent from ``present``;
+    else its first three components."""
+    parts = path.split("/")
+    prefixes = ["/".join(parts[:n]) for n in range(2, 5)]
+    return next((p for p in prefixes if p not in present), prefixes[-1])
+
+
 def moves(name: str, fresh: str) -> list:
     """Lines naming what moved from golden file ``name`` to the ``fresh`` text: each changed
     leaf, numbers with their move in eps, then the values gained or lost, counted per
-    group of their first three path components."""
+    group (a whole bundle, or a key of one)."""
     old, new = leaves(json.loads((GOLDEN / name).read_text())), leaves(json.loads(fresh))
     lines = []
     for path in sorted(old.keys() & new.keys()):
@@ -128,8 +136,9 @@ def moves(name: str, fresh: str) -> list:
             continue
         numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
         lines.append(f"{path}: {a!r} -> {b!r}" + (f" ({(b - a) / EPS:+.1f} eps)" if numbers else ""))
-    for sign, paths in (("-", old.keys() - new.keys()), ("+", new.keys() - old.keys())):
-        groups = Counter("/".join(p.split("/")[:4]) for p in paths)
+    for sign, mine, other in (("-", old, new), ("+", new, old)):
+        present = {"/".join(p.split("/")[:n]) for p in other for n in range(2, 5)}
+        groups = Counter(_group(p, present) for p in mine.keys() - other.keys())
         lines += [f"{sign} {group} ({count} values)" for group, count in sorted(groups.items())]
     return lines
 

@@ -449,7 +449,7 @@ class TestRunCheck:
         config = hn.ExperimentConfig(seed=5, dims=(3,), trials=2, tol=1e-300,
                                      check_set=("luders",))
         bundle = hn.run_check("luders", config).failures[0]
-        entries = bundle["inputs"]["projectors"][0]["entries"]
+        entries = bundle["inputs"]["projectors"]["vectors"]["entries"]
         for row in entries:
             for pair in row:
                 pair[0] *= 1.01
@@ -1048,3 +1048,46 @@ def test_jcheck_draw_never_forms_the_second_familys_projectors(monkeypatch):
         hn.CHECK_SPECS["jcheck"].generate(hn.trial_rng(config.seed, "jcheck", t), config, t)
     assert len(seconds) == config.trials
     assert not any("stack" in vars(fam) for fam in seconds)
+
+
+def test_suite_path_forms_no_projector_stack(monkeypatch):
+    """Every check but dilation reads its families' isometries and never forms a stack."""
+    calls = []
+    original = qm.ProjectorFamily._outer_products
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(qm.ProjectorFamily, "_outer_products", spy)
+    config = hn.ExperimentConfig(seed=17, dims=(2, 3, 5, 8), trials=20)
+    for name in ("jcheck", "chain", "klein", "luders", "minimal", "jarzynski"):
+        assert hn.run_check(name, config).passed, name
+    assert calls == []
+    assert hn.run_check("dilation", config).passed
+    assert calls  # dilation's ancilla stacks, which the spy does see
+
+
+@pytest.mark.parametrize("name", ["luders", "minimal"])
+def test_bundles_keep_the_suites_columns(name):
+    """A bundle holds its family's exact columns, degenerate ones too, and replay equals
+    the suite's evaluation bit for bit."""
+    config = hn.ExperimentConfig(seed=13, dims=(4, 6, 8), trials=12, tol=1e-300,
+                                 check_set=(name,))
+    spec = hn.CHECK_SPECS[name]
+
+    def hexed(values):
+        return {k: float(v).hex() for k, v in values.items()}
+
+    degenerate = 0
+    failures = hn.run_check(name, config).failures
+    for failure in failures:
+        bundle = json.loads(json.dumps(failure))
+        trial = bundle["trial"]
+        inputs, _ = spec.generate(hn.trial_rng(config.seed, name, trial), config, trial)
+        family = qm.family_from_json(bundle["inputs"]["projectors"])
+        assert family.vectors.tobytes() == inputs["family"].vectors.tobytes()
+        assert family.degeneracies.tolist() == inputs["family"].degeneracies.tolist()
+        degenerate += int(family.degeneracies.max() >= 2)
+        assert hexed(hn.replay_failure(bundle)) == hexed(spec.evaluate(**inputs))
+    assert len(failures) == config.trials and degenerate >= 3

@@ -79,19 +79,25 @@ a unitary U the entrywise modulus has | |U| |_2 <= |U|_F = sqrt(d).
   subtracts one: B_J = sum_ij B_Pi x_tilde(j) + (k_1 k_2 + 5) u S, with
   S = sum_ij Pi x_tilde.
 * The reverse residual's terms are Pi x_tilde x / x_tilde: x_tilde cancels,
-  but x(i) = p(i)/d(i) carries the error of p(i) = Tr(rho0 P_i), at most
-  (c_d + d u) |rho0|_F |P_i|_F <= 3 d u sqrt(d_i):
-  B_rev = sum_ij (B_Pi x(i) + Pi 3 d u / sqrt(d_i) [x(i) > 0]) + (k_1 k_2 + 5) u S~,
+  but x(i) = p(i)/d(i) carries the error of p(i).  The kernel reads p(i) from
+  the columns, off by 3 c_d Tr Y_ii <= 3 c_d d_i (B_p of the Lueders image
+  below, with Tr Y_ii <= d_i |rho0|_F), and the float projectors round
+  V_i V_i† by (c_{d_i} + u) |V_i||V_i|†, which moves Tr(rho0 P_i) by at most
+  (d_i + 3) d_i u more; so x(i) is off by (3 d + d_i + 9) u:
+  B_rev = sum_ij (B_Pi x(i) + Pi (3 d + d_i + 9) u [x(i) > 0]) + (k_1 k_2 + 5) u S~,
   with S~ = sum_ij Pi x.
 * <exp(-beta w)>: each term Pi x e, e = exp(-beta w_ij), rounds in
   x = p/d, in the product, in w = F_j - E_i and beta w (an exponent off by
   2 u beta |w|) and in exp: B_lhs = sum_ij e (B_Pi x + (2 beta |w| + 5 + k_1 k_2) u Pi x).
-* exp(-beta dF) is computed as exp(log z_1 - beta F_min - log z_0 + beta E_min)
-  with shifted sums z = sum_k d_k exp(-beta (E_k - E_min)); each z is off
-  by (2 beta R + 3 + k) u relatively, R the spread of its spectrum, each
-  log and product by u times its value, and the three additions by u times
-  T = |log z_1| + beta |F_min| + |log z_0| + beta |E_min| each:
-  B_rhs = rhs u (sum over both of (2 beta R + 3 + k) + 4 T + 2).
+* exp(-beta dF) is computed as (z_1/z_0) exp(x), x = beta (E_min - F_min),
+  with shifted sums z = sum_k d_k exp(-y_k), y_k = beta (E_k - E_min) >= 0.
+  Each exponent rounds by 2 u y_k and each exp and product by 3u more, so a
+  term moves by (2 y_k + 3) u relatively; since y e^-y <= 1/e and z >= 1,
+  with the k - 1 additions z is off by (2 d / e + k + 2) u relatively.  The
+  exponent x is off by 2 u |x|, exp(x) then by (2 |x| + 2) u, and the quotient
+  and the product by u each: B_rhs = rhs u (sum over both of (2 d / e + k + 2)
+  + 2 |x| + 4).  The former exp(log z_1 - beta F_min - log z_0 + beta E_min)
+  rounds its additions at the size of beta |E_min| and exceeds this bound.
 
 The Lueders image.  On the first trials of ``luders`` and ``minimal`` (rho and
 the family) and of ``jcheck`` (each model's rho0 and first family), the oracle
@@ -99,8 +105,9 @@ takes rho and the family's float columns V as exact, with P_i = V_i V_i† for
 the columns V_i of outcome i and M = V† rho V.  At 40 digits it computes the
 image sum_i P_i rho P_i = V (B o M) V†, B = C^T C the block mask of the one-hot
 clusters C, the probabilities p_i = Tr(rho P_i), the sums of Re M_cc over the
-columns of i, and the repeatability block norm r_i of
-P_i rho P_i - (p_i/d_i) P_i = V_i (M_ii - (p_i/d_i) I) V_i†.  The bounds are
+columns of i, and the repeatability block norm r_i = |M_ii - (p_i/d_i) I|_F,
+the Frobenius norm of P_i rho P_i - (p_i/d_i) P_i = V_i (M_ii - (p_i/d_i) I) V_i†
+for orthonormal columns.  The bounds are
 componentwise and first order: a product of length n is off by at most
 g_n = (n + 2) u times the product of the moduli (Higham Sec. 3.5).  With
 Y = |V|^T |rho| |V|, W_i = |V_i| |V_i|^T and Z_i = |V_i| Y_ii |V_i|^T, both
@@ -114,9 +121,11 @@ isometry kernel (M, then V (B o M) V†: four products of length d):
 * p_i: B_p = 3 g_d Tr Y_ii.  The trace of rho P_i rounds by
   (g_d + g_{d_i} + (d + 1) u) Tr Y_ii, the diagonal of M by 2 g_d Tr Y_ii
   and its cluster sum by g_d Tr Y_ii more.
-* r_i, the max-norm of the block: the largest over the block's entries of
-  (2 g_d + 2 g_{d_i} + 2u) Z_i + (3 g_d Tr Y_ii + (g_{d_i} + 3u) p_i) W_i / d_i,
-  plus 2 u r_i for the subtraction and the modulus.
+* r_i: B_r = 2 g_d |Y_ii|_F + (3 g_d Tr Y_ii + u p_i) / sqrt(d_i) + (d + 2) u r_i.
+  M_ii is off by 2 g_d Y_ii and each diagonal level p_i/d_i by
+  (3 g_d Tr Y_ii + u p_i) / d_i, a norm moves by at most the norm of the
+  change, and the subtraction, the squared moduli, their two sums of at most
+  d terms and the square root round r_i by (d + 2) u relatively.
 """
 
 import math
@@ -320,7 +329,7 @@ def model_oracle(inputs: dict, zeroed) -> dict:
             "j_residual": mp.fsum(b_pi[j][i] * x_tilde[j] for i, j in pairs)
             + (k1 * k2 + 5) * unit * s,
             "j_reverse_residual": mp.fsum(
-                b_pi[j][i] * x[i] + (pi[j][i] * 3 * d * unit / math.sqrt(d1[i]) if x[i] else 0)
+                b_pi[j][i] * x[i] + (pi[j][i] * (3 * d + d1[i] + 9) * unit if x[i] else 0)
                 for i, j in pairs
             ) + (k1 * k2 + 5) * unit * s_rev,
         }
@@ -347,11 +356,9 @@ def work_oracle(model: dict, inputs: dict, result, beta: float) -> dict:
         z0, z1 = (mp.fsum(n * mp.exp(-beta * ek) for n, ek in zip(ns, es))
                   for ns, es in ((d0, e0), (d1, e1)))
         rhs = z1 / z0
-        shifted = [(mp.fsum(n * mp.exp(-beta * (ek - min(es))) for n, ek in zip(ns, es)),
-                    max(es) - min(es), min(es), len(es)) for ns, es in ((d0, e0), (d1, e1))]
-        t = mp.fsum(abs(mp.log(z)) + beta * abs(low) for z, _, low, _ in shifted)
-        b_rhs = rhs * unit * (mp.fsum(2 * beta * spread + 3 + k for _, spread, _, k in shifted)
-                              + 4 * t + 2)
+        x = beta * (min(e0) - min(e1))
+        b_rhs = rhs * unit * (sum(2 * sum(ns) / math.e + len(ns) + 2 for ns in (d0, d1))
+                              + 2 * abs(x) + 4)
     return {"lhs": lhs, "rhs": rhs, "bounds": {"lhs": b_lhs, "rhs": b_rhs}}
 
 
@@ -431,22 +438,19 @@ def luders_oracle(rho: qm.DensityOperator, family: qm.ProjectorFamily) -> dict:
         image = ve @ np.where((clusters.T @ clusters).astype(bool), m, 0) @ vh
         probs = [mp.fsum(m[c, c].real for c in cs) for cs in cols]
         blocks = [m[np.ix_(cs, cs)] - p / len(cs) * np.eye(len(cs)) for p, cs in zip(probs, cols)]
-        norms = [max(abs(z) for z in (ve[:, cs] @ b @ vh[cs]).ravel())
-                 for b, cs in zip(blocks, cols)]
+        norms = [mp.sqrt(mp.fsum(abs(z) ** 2 for z in b.ravel())) for b in blocks]
     av = np.abs(v)
     y = av.T @ np.abs(rho.matrix) @ av
     tr_y = [y[cs, cs].sum() for cs in cols]
-    w = [av[:, cs] @ av[:, cs].T for cs in cols]
     z = [av[:, cs] @ y[np.ix_(cs, cs)] @ av[:, cs].T for cs in cols]
     sigma = np.abs(np.array(image.tolist(), dtype=complex))
     bounds = {
         "image": (4 * g(d) + (k + 1) * unit) * sum(z) + unit * sigma,
         "p": [3 * g(d) * t for t in tr_y],
         "block": [
-            ((2 * g(d) + 2 * g(len(cs)) + 2 * unit) * zi
-             + (3 * g(d) * t + (g(len(cs)) + 3 * unit) * float(p)) * wi / len(cs)).max()
-            + 2 * unit * float(r)
-            for cs, zi, wi, t, p, r in zip(cols, z, w, tr_y, probs, norms)
+            2 * g(d) * np.linalg.norm(y[np.ix_(cs, cs)])
+            + (3 * g(d) * t + unit * float(p)) / math.sqrt(len(cs)) + (d + 2) * unit * float(r)
+            for cs, t, p, r in zip(cols, tr_y, probs, norms)
         ],
     }
     return {"image": image, "p": probs, "block": norms, "bounds": bounds}

@@ -1,6 +1,7 @@
 """Tests for the finite-dimensional quantum layer."""
 
 import hashlib
+import json
 import math
 import pickle
 import tracemalloc
@@ -318,23 +319,24 @@ class TestAssumption:
             sum((w / d) * p for w, d, p in zip(weights, sd.family.degeneracies, sd.family.projectors))
         )
         report = qm.assumption_holds(rho0, sd.family)
-        assert report.holds and report.weighted_holds
-        assert report.all_outcomes_populated
+        assert report.weighted_holds
+        assert (report.probabilities > 0.0).all()
 
     def test_rank_one_families_always_hold(self):
         rng = rng_for("assumption-rank1")
         for _ in range(10):
             rho = random_density(4, rng=rng)
             fam = random_pvm(4, [1, 1, 1, 1], rng)
-            assert qm.assumption_holds(rho, fam).holds
+            assert qm.assumption_holds(rho, fam).weighted_holds
 
     def test_plus_state(self):
         rho0 = qm.DensityOperator(PLUS)
-        assert qm.assumption_holds(rho0, qm.ProjectorFamily(COMP_BASIS)).holds
+        assert qm.assumption_holds(rho0, qm.ProjectorFamily(COMP_BASIS)).weighted_holds
         trivial = qm.ProjectorFamily((np.eye(2, dtype=complex),))
         report = qm.assumption_holds(rho0, trivial)
-        assert not report.holds
-        assert report.residuals[0] == pytest.approx(0.5, abs=1e-12)
+        assert not report.weighted_holds
+        # the Frobenius norm of |+><+| - I/2, whose entries are 0 and 1/2
+        assert report.weighted_residuals[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 class TestBuildSequentialModel:
@@ -666,9 +668,17 @@ class TestJsonFormat:
         assert m.dtype == complex and m.tolist() == [[1 - 2j]]
 
     def test_family_round_trip(self):
-        docs = [qm.matrix_to_json(p) for p in COMP_BASIS]
-        fam = qm.family_from_json(docs)
-        assert fam.degeneracies.tolist() == [1, 1]
+        """A family document holds the exact columns and ranks; JSON text changes no bit."""
+        rng = rng_for("family-json")
+        for fam in (qm.ProjectorFamily(COMP_BASIS), random_pvm(5, [2, 1, 2], rng),
+                    qm.spectral_projectors(random_density(4, rng=rng).matrix).family):
+            doc = json.loads(json.dumps(qm.family_to_json(fam)))
+            assert list(doc) == ["vectors", "degeneracies"]
+            back = qm.family_from_json(doc)
+            assert_same_bits(back.vectors, fam.vectors)
+            assert_same_bits(back.degeneracies, fam.degeneracies)
+            assert_same_bits(back.clusters, fam.clusters)
+            assert not back.vectors.flags.writeable
 
     @staticmethod
     def jarzynski_bundle(h0_doc):
@@ -758,21 +768,30 @@ class TestBatchedKernels:
             p = block @ block.conj().T
             assert_same_bits(got, 0.5 * (p + p.conj().T))
 
-    def test_outcome_probabilities(self, case):
-        _, _, families, rho = case
-        for fam in families.values():
-            want = np.clip(loop_traces(rho.matrix, fam), 0.0, 1.0)
-            assert_same_bits(qm.outcome_probabilities(rho, fam), want)
-
-    def test_luders_channel(self, case):
-        _, _, families, rho = case
-        for fam in families.values():
-            out = sum(p @ rho.matrix @ p for p in fam.projectors)
-            assert_same_bits(qm.luders_channel(rho, fam).matrix, 0.5 * (out + out.conj().T))
-
     # The eigenbasis kernels sum in another order than the traces of projector products,
     # so they agree with those loops within 4 d eps, not bit for bit (at most 1.0 d eps
-    # measured at d = 2..64 with degenerate clusters).
+    # measured at d = 2..64 with degenerate clusters).  For the outcome probabilities, the
+    # Lueders image and the repeatability norms, both kernels lie within first-order
+    # bounds of about 3 d d_i eps of the exact value (derived in ``tests/test_oracle.py``),
+    # from sums of about d² rounded terms; rounding errors of a sum grow like the square
+    # root of its length in practice (Higham, Sec. 3.1), which turns d² into d, and 4 d eps
+    # is more than five times the 0.7 d eps measured at d = 2..64.
+
+    def test_outcome_probabilities(self, case):
+        dim, _, families, rho = case
+        for fam in families.values():
+            want = np.clip(loop_traces(rho.matrix, fam), 0.0, 1.0)
+            got = qm.outcome_probabilities(rho, fam)
+            assert got.shape == want.shape and ((0.0 <= got) & (got <= 1.0)).all()
+            assert np.abs(got - want).max() <= 4 * dim * EPS
+
+    def test_luders_channel(self, case):
+        dim, _, families, rho = case
+        for fam in families.values():
+            out = sum(p @ rho.matrix @ p for p in fam.projectors)
+            got = qm.luders_channel(rho, fam).matrix
+            assert (got == got.conj().T).all()  # exactly Hermitian
+            assert qm.max_abs(got - 0.5 * (out + out.conj().T)) <= 4 * dim * EPS
 
     def test_overlap_matrix(self, case):
         dim, rng, _, _ = case
@@ -811,11 +830,11 @@ class TestBatchedKernels:
             report = qm.assumption_holds(rho0, first)
             probs = loop_traces(rho0.matrix, first).clip(0.0, 1.0)
             weighted = [
-                qm.max_abs(p @ rho0.matrix @ p - prob * p / d)
+                np.linalg.norm(p @ rho0.matrix @ p - prob * p / d)
                 for p, prob, d in zip(first.projectors, probs, first.degeneracies)
             ]
-            assert report.weighted_residuals == tuple(weighted)
-            assert report.residuals == tuple(w / p for w, p in zip(weighted, probs))
+            assert np.abs(np.subtract(report.weighted_residuals, weighted)).max() <= 4 * dim * EPS
+            assert np.abs(report.probabilities - probs).max() <= 4 * dim * EPS
             for second in families.values():
                 p_tilde = rng.dirichlet(np.ones(len(second)))
                 model = qm.build_sequential_model(rho0, first, u, second, p_tilde)
@@ -824,16 +843,17 @@ class TestBatchedKernels:
                 scale = np.sqrt(np.outer(second.degeneracies, first.degeneracies))
                 assert (model.pi >= 0.0).all()
                 assert (np.abs(model.pi - pi) <= 2 * dim * EPS * scale).all()
-                assert_same_bits(model.x, probs / first.degeneracies)
+                assert_same_bits(model.x, report.probabilities / first.degeneracies)
 
     def test_family_from_projectors_derives_its_isometry(self, case):
-        """Built from projectors (constructor, JSON, unpickling), a family keeps them as its
-        stack and derives columns grouped by outcome only when they are first read."""
+        """The public constructor keeps its projectors as the stack and derives columns
+        grouped by outcome when it builds the family; JSON and unpickling keep them."""
         dim, rng, families, _ = case
         public = families["public"]
-        doc = [qm.matrix_to_json(p) for p in public.projectors]
+        assert {"vectors", "clusters", "degeneracies", "stack"} <= set(vars(public))
+        doc = json.loads(json.dumps(qm.family_to_json(public)))
         for fam in (public, qm.family_from_json(doc), pickle.loads(pickle.dumps(public))):
-            assert "vectors" not in vars(fam)
+            assert_same_bits(fam.vectors, public.vectors)
             v = fam.vectors
             assert not v.flags.writeable and v.shape == (dim, dim)
             assert qm.max_abs(v.conj().T @ v - np.eye(dim)) < qm.PROJECTOR_TOL
@@ -887,6 +907,24 @@ class TestBatchedKernels:
         assert "stack" not in vars(first.family) and "stack" not in vars(second.family)
 
 
+    @pytest.mark.parametrize("kernel", [qm.luders_channel, qm.assumption_holds])
+    def test_isometry_kernels_hold_a_few_square_arrays(self, kernel):
+        # a d = 64 rank-one family's (k, d, d) stack is 4 MiB; one complex d x d array 64 KiB
+        dim = 64
+        rng = rng_for("isometry-memory")
+        rho = random_density(dim, rng=rng)
+        fam = random_pvm(dim, [1] * dim, rng)
+        square = dim * dim * 16
+        tracemalloc.start()
+        try:
+            kernel(rho, fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * square
+        assert "stack" not in vars(fam)
+
+
 class TestPickle:
     """Unpickling goes through the public constructors."""
 
@@ -922,7 +960,7 @@ class TestPickle:
 
     def test_tampered_payload_raises(self):
         rho, u, fam, _, _ = self.objects()
-        for obj, array in ((rho, rho.matrix), (u, u.matrix), (fam, fam.projectors[0])):
+        for obj, array in ((rho, rho.matrix), (u, u.matrix), (fam, fam.vectors)):
             tampered = np.array(array)
             tampered[0, 0] += 0.25
             payload = pickle.dumps(obj)

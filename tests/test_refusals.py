@@ -7,7 +7,13 @@ import seqmeas.entropy as ent
 import seqmeas.harness as hn
 import seqmeas.quantum as qm
 import seqmeas.stat_model as sm
-from seqmeas.errors import ConfigError, InconsistentModelError, InputError, ShapeError
+from seqmeas.errors import (
+    ConfigError,
+    InconsistentModelError,
+    InputError,
+    InvalidOperatorError,
+    ShapeError,
+)
 
 RHO2 = qm.DensityOperator(np.eye(2) / 2)
 RHO3 = qm.DensityOperator(np.eye(3) / 3)
@@ -18,6 +24,12 @@ U2 = qm.Unitary(np.eye(2))
 
 def _model(p_tilde, probabilities=None, u=U2):
     return qm.build_sequential_model(RHO2, FAM2, u, FAM2, p_tilde, probabilities)
+
+
+def _family(vectors, degeneracies):
+    """``family_from_json`` of a family document with these columns and ranks."""
+    doc = {"dim": len(vectors), "entries": [[[float(z), 0.0] for z in row] for row in vectors]}
+    return qm.family_from_json({"vectors": doc, "degeneracies": degeneracies})
 
 
 REFUSALS = {
@@ -57,6 +69,23 @@ REFUSALS = {
         lambda: qm.dilation_analysis(RHO2, qm.Unitary(np.eye(4)), FAM2, [1.0, 0.0, 0.0]),
         ShapeError,
         "ancilla state has length 3, expected 2",
+    ),
+    "family_from_json-non-orthonormal": (
+        lambda: _family([[1.0, 0.5], [0.0, 1.0]], [1, 1]), InvalidOperatorError,
+        "family vectors are not orthonormal",
+    ),
+    "family_from_json-nan": (
+        lambda: _family([[np.nan, 0.0], [0.0, 1.0]], [1, 1]), InputError,
+        "family vectors must have finite entries",
+    ),
+    "family_from_json-rank-sum": (
+        lambda: _family(np.eye(2), [1]), InputError, "must be positive integers summing to dim=2"
+    ),
+    "family_from_json-rank-bool": (  # True + 1 == 2, so only the type refuses it
+        lambda: _family(np.eye(2), [True, 1]), InputError, "must be positive integers"
+    ),
+    "family_from_json-rank-fraction": (  # 2.7 + 0.3 == 3.0, so only the type refuses it
+        lambda: _family(np.eye(3), [2.7, 0.3]), InputError, "must be positive integers"
     ),
     "partial_trace-keep": (
         lambda: qm.partial_trace(np.eye(4), (2, 2), 3), InputError, "keep must be 1 or 2"
