@@ -294,7 +294,7 @@ class ProjectorFamily:
         return out
 
     def _outer_products(self) -> np.ndarray:
-        """``P_a = B_a B_a†`` of the column blocks ``B_a`` of ``vectors``, made exactly Hermitian."""
+        """``P_a = B_a B_a†`` of the column blocks ``B_a`` of ``vectors``, exactly Hermitian."""
         v, widths = self.vectors, self.degeneracies
         if len(widths) == len(v):  # all rank one: one batched (d, 1) @ (1, d) product
             columns = v.T[:, :, np.newaxis]
@@ -415,7 +415,8 @@ def outcome_probabilities(rho: DensityOperator, family: ProjectorFamily) -> np.n
 @_one_at_a_time
 def luders_channel(rho: DensityOperator, family: ProjectorFamily) -> DensityOperator:
     """Non-selective state change sum_i P_i rho P_i = V (B o V† rho V) V†."""
-    image = family.vectors @ (_compressed(rho, family) * _block_mask(family)) @ dagger(family.vectors)
+    v = family.vectors
+    image = v @ (_compressed(rho, family) * _block_mask(family)) @ dagger(v)
     return (yield DensityOperator._stack, _hermitian(image))
 
 

@@ -135,7 +135,8 @@ def moves(name: str, fresh: str) -> list:
         if a == b and type(a) is type(b):
             continue
         numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
-        lines.append(f"{path}: {a!r} -> {b!r}" + (f" ({(b - a) / EPS:+.1f} eps)" if numbers else ""))
+        move = f" ({(b - a) / EPS:+.1f} eps)" if numbers else ""
+        lines.append(f"{path}: {a!r} -> {b!r}{move}")
     for sign, mine, other in (("-", old, new), ("+", new, old)):
         present = {"/".join(p.split("/")[:n]) for p in other for n in range(2, 5)}
         groups = Counter(_group(p, present) for p in mine.keys() - other.keys())
