@@ -902,7 +902,7 @@ def test_fingerprint_is_pinned():
 
 
 def test_failure_bundles_are_pinned():
-    # 86 bundles covering every check and every trial-input kind
+    # 89 bundles covering every check and every trial-input kind
     failures = golden_files.failure_bundles()
     assert {f["check"] for f in failures} == set(hn.CHECK_ORDER)
     assert {k for f in failures for k in f["inputs"]} == {
