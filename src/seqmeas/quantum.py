@@ -483,8 +483,6 @@ def build_sequential_model(
         raise InputError("p_tilde must be strictly positive on every outcome")
     if not abs(p_tilde.sum() - 1.0) <= 1e-10:
         raise InputError(f"p_tilde sums to {p_tilde.sum():.15g}, expected 1")
-    # gate on the weighted residuals: the normalised ones blow up float
-    # noise by 1/p(i) on exact low-probability branches
     report = assumption_holds(rho0, first_family)
     if not report.weighted_holds:
         worst = max(report.weighted_residuals)
