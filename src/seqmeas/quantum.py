@@ -327,12 +327,9 @@ def _family_from_columns(vectors, degeneracies) -> ProjectorFamily:
     finite square columns with V†V = I within ``PROJECTOR_TOL``, and positive integer
     ranks, never bools, that sum to d."""
     v = _as_square_complex(vectors, "family vectors")
-    if not (
-        isinstance(degeneracies, list)
-        and all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r >= 1
-                for r in degeneracies)
-        and sum(degeneracies) == len(v)
-    ):
+    # JSON and ``__reduce__`` give Python ints; a bool is an int subclass and is refused
+    if not (isinstance(degeneracies, list) and all(type(r) is int and r >= 1 for r in degeneracies)
+            and sum(degeneracies) == len(v)):
         raise InputError(
             f"degeneracies {degeneracies!r} must be positive integers summing to dim={len(v)}"
         )
@@ -435,19 +432,21 @@ class AssumptionReport:
     probabilities: np.ndarray
 
 
+def _repeatability(rho0: DensityOperator, family: ProjectorFamily) -> tuple:
+    """The report of ``assumption_holds`` and the block-diagonal part B o M of M = V† rho0 V."""
+    block = _compressed(rho0, family) * _block_mask(family)
+    probs = np.clip(family.clusters @ np.diagonal(block).real, 0.0, 1.0)
+    deviation = block - np.diag(np.repeat(probs / family.degeneracies, family.degeneracies))
+    weighted = np.sqrt(family.clusters @ (np.abs(deviation) ** 2).sum(axis=1))
+    report = AssumptionReport(weighted_residuals=tuple(weighted.tolist()),
+                              weighted_holds=bool(weighted.max() < REPEATABILITY_TOL),
+                              probabilities=probs)
+    return report, block
+
+
 def assumption_holds(rho0: DensityOperator, family: ProjectorFamily) -> AssumptionReport:
     """Check that selection leaves the maximally mixed state on each eigenspace."""
-    probs = outcome_probabilities(rho0, family)
-    deviation = _compressed(rho0, family) * _block_mask(family)
-    deviation[np.diag_indices_from(deviation)] -= np.repeat(
-        probs / family.degeneracies, family.degeneracies
-    )
-    weighted = np.sqrt(family.clusters @ (np.abs(deviation) ** 2).sum(axis=1))
-    return AssumptionReport(
-        weighted_residuals=tuple(weighted.tolist()),
-        weighted_holds=bool(weighted.max() < REPEATABILITY_TOL),
-        probabilities=probs,
-    )
+    return _repeatability(rho0, family)[0]
 
 
 def build_sequential_model(
@@ -483,7 +482,7 @@ def build_sequential_model(
         raise InputError("p_tilde must be strictly positive on every outcome")
     if not abs(p_tilde.sum() - 1.0) <= 1e-10:
         raise InputError(f"p_tilde sums to {p_tilde.sum():.15g}, expected 1")
-    report = assumption_holds(rho0, first_family)
+    report, block = _repeatability(rho0, first_family)
     if not report.weighted_holds:
         worst = max(report.weighted_residuals)
         raise AssumptionError(
@@ -516,7 +515,6 @@ def build_sequential_model(
     # cross-check: the induced joint distribution must match the Born rule,
     # Tr(Q_j U P_i rho0 P_i U†) = C_2 Re(conj(M) (M B)) C_1ᵀ with B the
     # block-diagonal part of V† rho0 V
-    block = _compressed(rho0, first_family) * _block_mask(first_family)
     direct = c2 @ (m.conj() * (m @ block)).real @ c1.T
     dev = max_abs(pi * x[np.newaxis, :] - direct)
     if not dev < 1e-10:
