@@ -45,9 +45,11 @@ that factor is below 2e-7 at d <= 8.  The bounds depend only on the operators,
 never on the float results, so they cannot be tuned to a kernel.
 
 The sequential model.  A spy records the float inputs of
-``build_sequential_model`` (rho0, the two families' projectors P_i and Q_j,
-U, p_tilde and any supplied p) and the oracle takes them as exact.  At 40
-digits it computes Pi(j|i) = Tr(Q_j U P_i U†), x(i) = p(i)/d(i) with
+``build_sequential_model`` (rho0, the two families' columns V and W, U,
+p_tilde and any supplied p) and the oracle takes them as exact, as the
+Lueders oracle below does, with P_i = V_i V_i† and Q_j = W_j W_j† for the
+column blocks of outcomes i and j.  At 40 digits it computes
+Pi(j|i) = Tr(Q_j U P_i U†), the cluster sum of |W†UV|^2, x(i) = p(i)/d(i) with
 p(i) = Tr(rho0 P_i) unless supplied (zero where the model zeroes x exactly),
 x_tilde(j) = p_tilde(j)/d_tilde(j), the J-equation residuals
 |sum_ij Pi(j|i) x_tilde(j) - 1| and |sum_ij Pi(j|i) x(i) - 1| (the
@@ -57,34 +59,26 @@ exp(-beta dF) = Z_1/Z_0, Z = sum_k d_k exp(-beta E_k), with the protocol's
 float energies and beta taken as exact too.  ``chain`` evaluates the very
 models of ``jcheck`` (one trial stream), so the ``jcheck`` trials cover both.
 The bounds are first order in u = eps/2.  A complex inner product of length
-n rounds by at most c_n = (n + 2) u times sum |a_k||b_k| (Higham Sec. 3.6);
-|Tr(A B)| <= |A|_F |B|_F; a projector of rank r has |P|_F = sqrt(r); and for
-a unitary U the entrywise modulus has | |U| |_2 <= |U|_F = sqrt(d).
+n rounds by at most c_n = (n + 2) u times sum |a_k||b_k| (Higham Sec. 3.6),
+and for a unitary U the entrywise modulus has | |U| |_2 <= |U|_F = sqrt(d).
 
-* Pi(j|i), by either kernel, moves by at most B_Pi = 7 d^2 eps sqrt(d_i d_j).
-  The product kernel forms X_i = U P_i U†, off by 2 c_d |U||P_i||U†|
-  entrywise, and sums Tr(Q_j X_i) over d^2 terms; in all
-  u sqrt(d_i d_j) (2 d (d + 2) + d^2 + 2) <= 6 d^2 u sqrt(d_i d_j).  The
-  isometry kernel forms M = W†UV of the families' column blocks, off by
-  dM <= 2 c_d |W†||U||V|, so the cluster sum of |M|^2 moves by
-  2 sum |M||dM| <= 4 c_d |M_ji|_F |W_j|_F | |U| |_2 |V_i|_F
-  <= 4 (d + 2) d u sqrt(d_i d_j), plus (d_i + d_j + 3) u Pi for squaring
-  and summing.  The exact Pi of those columns, Tr(W_j W_j† U V_i V_i† U†),
-  differs from that of the float projectors, which round V_i V_i† by
-  (c_{d_i} + u) |V_i||V_i|†, by at most (d_i + 3) d_i u sqrt(d_j) and the
-  same with i and j swapped.  With Pi <= sqrt(d_i d_j) and d >= 2 the sum
-  is below 14 d^2 u sqrt(d_i d_j).
+* Pi(j|i).  The kernel forms M = (W†U)V, off by dM <= 2 c_d |W†||U||V|, so
+  the cluster sum of |M|^2 moves by
+  2 sum |M||dM| <= 4 c_d |M_ji|_F |W_j|_F | |U| |_2 |V_i|_F, and
+  |M_ji|_F = sqrt(Pi) <= sqrt(d), plus (d_i + d_j + 3) u Pi for squaring and
+  summing: B_Pi = 4 (d + 2) d u sqrt(d_i d_j) + (d_i + d_j + 3) u Pi.
 * The forward residual sums k_1 k_2 terms Pi x_tilde x / x (or x_tilde Pi
   where x = 0), each rounded by at most 4u with x_tilde's own rounding, and
   subtracts one: B_J = sum_ij B_Pi x_tilde(j) + (k_1 k_2 + 5) u S, with
   S = sum_ij Pi x_tilde.
 * The reverse residual's terms are Pi x_tilde x / x_tilde: x_tilde cancels,
-  but x(i) = p(i)/d(i) carries the error of p(i).  The kernel reads p(i) from
-  the columns, off by 3 c_d Tr Y_ii <= 3 c_d d_i (B_p of the Lueders image
-  below, with Tr Y_ii <= d_i |rho0|_F), and the float projectors round
-  V_i V_i† by (c_{d_i} + u) |V_i||V_i|†, which moves Tr(rho0 P_i) by at most
-  (d_i + 3) d_i u more; so x(i) is off by (3 d + d_i + 9) u:
-  B_rev = sum_ij (B_Pi x(i) + Pi (3 d + d_i + 9) u [x(i) > 0]) + (k_1 k_2 + 5) u S~,
+  but x(i) = p(i)/d(i) carries the error of p(i) = sum_{c in i} Re M_cc,
+  M = (V† rho0) V.  The row v_c† rho0 is off by c_d |v_c|^T |rho0| and its
+  product with v_c rounds by c_d sum_a |(rho0 v_c)_a| |v_ac| <= c_d |rho0 v_c|_2,
+  so M_cc is off by c_d (Y_cc + |rho0 v_c|_2), Y = |V|^T |rho0| |V|; the
+  cluster sum adds (d_i - 1) u Tr Y_ii, as |M_cc| <= Y_cc.  So
+  B_x(i) = (c_d sum_{c in i} (Y_cc + |rho0 v_c|_2) + (d_i - 1) u Tr Y_ii) / d_i and
+  B_rev = sum_ij (B_Pi x(i) + Pi B_x(i) [x(i) > 0]) + (k_1 k_2 + 5) u S~,
   with S~ = sum_ij Pi x.
 * <exp(-beta w)>: each term Pi x e, e = exp(-beta w_ij), rounds in
   x = p/d, in the product, in w = F_j - E_i and beta w (an exponent off by
@@ -306,31 +300,38 @@ def model_oracle(inputs: dict, zeroed) -> dict:
     firsts, seconds = inputs["first_family"], inputs["second_family"]
     d, k1, k2 = firsts.dim, len(firsts), len(seconds)
     d1, d2 = firsts.degeneracies.tolist(), seconds.degeneracies.tolist()
+    cols1, cols2 = ([np.flatnonzero(row) for row in f.clusters] for f in (firsts, seconds))
+    unit = EPS / 2
+    rho0 = inputs["rho0"].matrix
+    av = np.abs(firsts.vectors)
+    y = np.diagonal(av.T @ np.abs(rho0) @ av)
+    rv = np.linalg.norm(rho0 @ firsts.vectors, axis=0)
+    b_x = [((d + 2) * (y[cs] + rv[cs]).sum() + (n - 1) * y[cs].sum()) * unit / n
+           for cs, n in zip(cols1, d1)]
     with mp.workdps(DIGITS):
-        p, q, u = exact(firsts.stack), exact(seconds.stack), exact(inputs["u"].matrix)
-        evolved = u @ p @ np.conj(u.T)  # U P_i U†
-        pi = (q.reshape(k2, -1) @ evolved.transpose(0, 2, 1).reshape(k1, -1).T).tolist()
-        pi = [[z.real for z in row] for row in pi]
+        v, w = exact(firsts.vectors), exact(seconds.vectors)
+        m2 = np.vectorize(lambda z: abs(z) ** 2, otypes=[object])(
+            np.conj(w.T) @ exact(inputs["u"].matrix) @ v)  # |W†UV|^2
+        pi = [[mp.fsum(m2[np.ix_(cj, ci)].ravel()) for ci in cols1] for cj in cols2]
         if inputs.get("probabilities") is None:
-            rho = exact(inputs["rho0"].matrix).reshape(-1)
-            probs = [mp.fsum(rho * pk.T.reshape(-1)).real for pk in p]
+            m = np.conj(v.T) @ exact(rho0) @ v  # V† rho0 V
+            probs = [mp.fsum(m[c, c].real for c in cs) for cs in cols1]
             probs = [min(max(x, 0), 1) for x in probs]  # the float kernel's clamp
         else:
             probs = exact(inputs["probabilities"]).tolist()
         x = [0 if z else pr / n for pr, n, z in zip(probs, d1, zeroed)]
         x_tilde = [mp.mpf(pt) / n for pt, n in zip(np.asarray(inputs["p_tilde"]).tolist(), d2)]
-        b_pi = [[7 * d * d * EPS * math.sqrt(n1 * n2) for n1 in d1] for n2 in d2]
+        b_pi = [[(4 * (d + 2) * d * math.sqrt(n1 * n2) + (n1 + n2 + 3) * pi[j][i]) * unit
+                 for i, n1 in enumerate(d1)] for j, n2 in enumerate(d2)]
         pairs = [(i, j) for i in range(k1) for j in range(k2)]
         s = mp.fsum(pi[j][i] * x_tilde[j] for i, j in pairs)
         s_rev = mp.fsum(pi[j][i] * x[i] for i, j in pairs)
-        unit = EPS / 2
         bounds = {
             "pi": b_pi,
             "j_residual": mp.fsum(b_pi[j][i] * x_tilde[j] for i, j in pairs)
             + (k1 * k2 + 5) * unit * s,
             "j_reverse_residual": mp.fsum(
-                b_pi[j][i] * x[i] + (pi[j][i] * (3 * d + d1[i] + 9) * unit if x[i] else 0)
-                for i, j in pairs
+                b_pi[j][i] * x[i] + (pi[j][i] * b_x[i] if x[i] else 0) for i, j in pairs
             ) + (k1 * k2 + 5) * unit * s_rev,
         }
         return {"pi": pi, "x": x, "j_residual": abs(s - 1), "j_reverse_residual": abs(s_rev - 1),
