@@ -847,12 +847,18 @@ class TestBatchedKernels:
 
     def test_family_from_projectors_derives_its_isometry(self, case):
         """The public constructor keeps its projectors as the stack and derives columns
-        grouped by outcome when it builds the family; JSON and unpickling keep them."""
+        grouped by outcome when it builds the family; JSON and unpickling keep the columns
+        and re-form the stack from them, V_k V_k†, within the family tolerance of the
+        projectors the constructor was given."""
         dim, rng, families, _ = case
         public = families["public"]
         assert {"vectors", "clusters", "degeneracies", "stack"} <= set(vars(public))
         doc = json.loads(json.dumps(qm.family_to_json(public)))
-        for fam in (public, qm.family_from_json(doc), pickle.loads(pickle.dumps(public))):
+        round_trips = (qm.family_from_json(doc), pickle.loads(pickle.dumps(public)))
+        for back in round_trips:
+            assert_same_bits(back.stack, public._outer_products())
+            assert qm.max_abs(back.stack - public.stack) < qm.PROJECTOR_TOL
+        for fam in (public, *round_trips):
             assert_same_bits(fam.vectors, public.vectors)
             v = fam.vectors
             assert not v.flags.writeable and v.shape == (dim, dim)
