@@ -28,11 +28,11 @@ draws and builds each trial of its chunk once, as one batch, evaluates the
 batch per check and makes one record per check and trial with
 ``_trial_record`` (residuals, counters, failure bundle or None).
 ``_outcome`` adds a check's fixed instance as trial -1 and folds its records.
-:func:`run_suite` starts ``min(CPUs, checks)`` spawned workers, each with
-BLAS pinned to one thread, unless only one CPU is available or it already
-runs inside a worker.  The fold is the same on both paths, so the report is
-the same bit for bit.  A group's wall time is split between its checks by
-their time in the loop, generation counted for the first check.
+:func:`run_suite` starts ``min(CPUs, checks)`` workers, forked from a
+preloaded server and with BLAS pinned to one thread, unless only one CPU is
+available or it already runs inside a worker.  The fold is the same on both
+paths, so the report is the same bit for bit.  A group's wall time is split
+between its checks by their time in the loop, generation counted for the first.
 
 A trial that misses a gate leaves a failure bundle.  One table, ``_CODECS``,
 gives each trial input (named by a parameter of a check's ``evaluate``) its
@@ -833,33 +833,43 @@ def _cpu_count() -> int:
 
 
 def _pool_workers(n_checks: int) -> int:
-    """Worker processes for a suite of ``n_checks`` checks; fewer than 2 means none."""
+    """Worker processes for a suite of ``n_checks`` checks; fewer than 2 means none.
+
+    A worker importing a script that runs the suite raises before it makes a pool.
+    """
     import multiprocessing  # here, not at import: the pool's imports cost ~20 ms
 
     if multiprocessing.parent_process() is not None:
         return 1  # already a worker: never nest pools
+    if getattr(multiprocessing.current_process(), "_inheriting", False):  # set while re-importing
+        raise SeqMeasError('a script that runs the suite needs an if __name__ == "__main__": guard')
     main_file = getattr(sys.modules["__main__"], "__file__", None)
     if main_file is not None and not os.path.isfile(main_file):
-        return 1  # e.g. a script read from stdin, which a spawned process cannot re-import
+        return 1  # e.g. a script read from stdin, which a worker cannot re-import
     return min(_cpu_count(), n_checks)
 
 
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """The ``map`` of spawned worker processes, each with BLAS pinned to one thread.
+    """The ``map`` of fresh worker processes, each with BLAS pinned to one thread.
 
     The workers share the CPUs; a BLAS thread pool in each would
-    oversubscribe them.  ``os.environ`` is restored when the pool closes.  A
+    oversubscribe them.  They fork from a forkserver (spawn on Windows) that
+    imported numpy and this module inside the pin at the first pool, and exits
+    with this process.  ``os.environ`` is restored when the pool closes.  A
     worker that dies, as one re-importing an unguarded script, raises ``SeqMeasError``.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    context = multiprocessing.get_context(
+        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn")
+    context.set_forkserver_preload(["seqmeas.harness"])  # never "__main__", an unguarded script
     saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             yield pool.map
     except BrokenProcessPool as exc:
         raise SeqMeasError(

@@ -878,6 +878,11 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _worker_identity(_) -> tuple:
+    """A worker's pid, its parent's pid and its BLAS thread-count settings."""
+    return os.getpid(), os.getppid(), tuple(map(os.environ.get, hn._BLAS_THREAD_VARS))
+
+
 def _blas_build() -> str:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return f"{blas.get('name', '?')} {blas.get('version', '?')}"
@@ -969,6 +974,19 @@ class TestParallelSuite:
         assert pools == [(2,), (2,)]
         assert dict(os.environ) == before
 
+    def test_workers_fork_from_one_preloaded_server(self):
+        """Successive pools' workers are fresh, fork from one server that is not this
+        process, and read one BLAS thread each."""
+        reports = []
+        for _ in range(2):
+            with hn._worker_pool(2) as run:
+                reports.append(set(run(_worker_identity, range(8))))
+        first, second = ({pid for pid, _, _ in report} for report in reports)
+        assert not first & second
+        parents = {ppid for report in reports for _, ppid, _ in report}
+        assert len(parents) == 1 and os.getpid() not in parents
+        assert {blas for report in reports for _, _, blas in report} == {("1",) * 3}
+
     def test_a_worker_starts_no_pool(self, pools, monkeypatch):
         import multiprocessing
 
@@ -1014,8 +1032,9 @@ class TestParallelSuite:
         assert _sha256(json.dumps(written, sort_keys=True)) == expected
 
     def test_unguarded_script_raises_seqmeas_error(self, tmp_path):
-        """Each spawned worker re-imports the script, which starts a pool while the worker
-        bootstraps; the worker dies, and the caller gets a ``SeqMeasError`` naming the guard."""
+        """Each worker re-imports the script, which runs the suite while the worker
+        bootstraps; the worker refuses before it makes a pool and dies, and the caller
+        gets a ``SeqMeasError`` naming the guard."""
         (tmp_path / "unguarded.py").write_text(
             "import seqmeas.harness as hn\n"
             "hn._cpu_count = lambda: 2\n"
@@ -1026,28 +1045,12 @@ class TestParallelSuite:
         lines = proc.stderr.strip().splitlines()
         error = ("seqmeas.errors.SeqMeasError: a worker died; a script that runs the suite"
                  ' needs an if __name__ == "__main__": guard')
-        assert error in lines, proc.stderr
-        # only the resource tracker may speak after it, of the semaphores of the pool
-        # that a dying worker began to build
-        after = lines[lines.index(error) + 1:]
-        assert all("resource_tracker: There appear to be" in line for line in after), after
-
-
-def test_jcheck_draw_never_forms_the_second_familys_projectors(monkeypatch):
-    """A jcheck draw builds its model from the second family's isometry alone."""
-    seconds = []
-    original = qm.build_sequential_model
-
-    def spy(rho0, first_family, u, second_family, p_tilde, probabilities=None):
-        seconds.append(second_family)
-        return original(rho0, first_family, u, second_family, p_tilde, probabilities)
-
-    monkeypatch.setattr(qm, "build_sequential_model", spy)
-    config = hn.ExperimentConfig(seed=21, dims=(2, 3, 5, 16), trials=8)
-    for t in range(config.trials):
-        hn.CHECK_SPECS["jcheck"].generate(hn.trial_rng(config.seed, "jcheck", t), config, t)
-    assert len(seconds) == config.trials
-    assert not any("stack" in vars(fam) for fam in seconds)
+        refusal = ('seqmeas.errors.SeqMeasError: a script that runs the suite'
+                   ' needs an if __name__ == "__main__": guard')
+        assert refusal in lines, proc.stderr
+        # nothing follows: with no worker's pool, the resource tracker has no semaphore
+        # to reap, not even one a worker killed mid-cleanup unlinked but left registered
+        assert lines[-1] == error, proc.stderr
 
 
 def test_suite_path_forms_no_projector_stack(monkeypatch):
@@ -1060,7 +1063,7 @@ def test_suite_path_forms_no_projector_stack(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(qm.ProjectorFamily, "_outer_products", spy)
-    config = hn.ExperimentConfig(seed=17, dims=(2, 3, 5, 8), trials=20)
+    config = hn.ExperimentConfig(seed=17, dims=(2, 3, 5, 8, 16), trials=20)
     for name in ("jcheck", "chain", "klein", "luders", "minimal", "jarzynski"):
         assert hn.run_check(name, config).passed, name
     assert calls == []
