@@ -1,8 +1,9 @@
 """A 40-digit oracle for the entropy quantities of the float kernels.
 
 The oracle takes the float input matrices as exact and recomputes, with
-mpmath's ``eigh`` at 40 significant digits, the von Neumann entropy S(rho),
-the relative entropy S(rho||sigma) and sigma's cluster weights
+mpmath's ``eigh`` at 40 significant digits, the von Neumann entropies S(rho)
+and S(sigma), the relative entropy S(rho||sigma), the minimal-pair identity
+residual |S(rho||sigma) - (S(sigma) - S(rho))| and sigma's cluster weights
 q_j = Tr(rho Q_j) and p_tilde_j = Tr(sigma Q_j).  Its clusters, support and
 divergence rules are the package's (``CLUSTER_TOL``, ``SUPPORT_EPS``,
 ``OVERLAP_EPS``); at 40 digits its own rounding is far below anything
@@ -38,6 +39,15 @@ form w† A w or one trace Tr(A B) that the kernels form from such operators
   eigenprojection moves by ||dQ_j||_2 <= sqrt(2) eta / g_j, g_j the gap from
   cluster j to the rest of sigma's spectrum; with ||rho||_1 = 1 and the
   rounding of its d_j diagonal terms, |dq_j| <= eta (sqrt(2) / g_j + d_j).
+* S(sigma), for sigma the float Lueders image of ``luders`` and ``minimal``
+  (or klein's second operator), taken as exact: as S(rho), with L over
+  sigma's supported eigenvalues, |dS(sigma)| <= d eta (1 + L).
+* The identity residual |S(rho||sigma) - (S(sigma) - S(rho))|, finite, as a
+  whole: the absolute value moves by at most as much as its argument, the
+  three entropies by their bounds above, and the two subtractions round by
+  u |S(sigma) - S(rho)| and u |identity|, so
+  |d identity| <= B_rel + B_rho + B_sigma + u (|S(sigma) - S(rho)| + |identity|),
+  the last two terms at the exact values, first order.
 
 The bounds are first order.  The terms left out are smaller by a factor
 eta / g_j or eta / s_min; clusters lie more than ``CLUSTER_TOL`` apart, so
@@ -176,6 +186,7 @@ def oracle(rho_m, sigma_m) -> dict:
         supported = [a for a in range(d) if r[a] > ent.SUPPORT_EPS]
         s_zero = [b for b in range(d) if s[b] <= ent.SUPPORT_EPS]
         s_rho = -mp.fsum(x * mp.log(x) for x in r if x > 0)
+        s_sigma = -mp.fsum(x * mp.log(x) for x in s if x > 0)
         if any(overlap[a][b] > ent.OVERLAP_EPS for a in supported for b in s_zero):
             rel = math.inf
         else:
@@ -191,29 +202,39 @@ def oracle(rho_m, sigma_m) -> dict:
         log_r = max([abs(mp.log(r[a])) for a in supported] + [abs(math.log(eta))])
         s_support = [s[b] for b in range(d) if b not in s_zero]
         log_rs = max([log_r] + [abs(mp.log(x)) for x in s_support])
+        log_s = max([abs(math.log(eta))] + [abs(mp.log(x)) for x in s_support])
         bounds = {
             "s_rho": d * eta * (1 + log_r),
+            "s_sigma": d * eta * (1 + log_s),
             "rel": eta * (d * (1 + 2 * log_rs) + 1 / min(s_support, default=1)),
             "q": [eta * (math.sqrt(2) / g + len(run)) for g, run in zip(gaps, runs)],
             "p_tilde": [2 * len(run) * eta for run in runs],
         }
+        identity = math.inf if rel == math.inf else abs(rel - (s_sigma - s_rho))
+        if rel != math.inf:
+            bounds["identity"] = (bounds["rel"] + bounds["s_rho"] + bounds["s_sigma"]
+                                  + EPS / 2 * (abs(s_sigma - s_rho) + identity))
     return {
-        "s_rho": s_rho, "rel": rel, "degeneracies": [len(run) for run in runs],
-        "q": q, "p_tilde": p_tilde, "bounds": bounds,
+        "s_rho": s_rho, "s_sigma": s_sigma, "rel": rel, "identity": identity,
+        "degeneracies": [len(run) for run in runs], "q": q, "p_tilde": p_tilde,
+        "bounds": bounds,
     }
 
 
 def float_values(rho, sigma) -> dict:
     report = ent.entropy_report(rho, sigma)
     m = report.minimality
-    return {"s_rho": report.s_rho, "rel": report.rel_entropy,
+    return {"s_rho": report.s_rho, "s_sigma": report.s_sigma, "rel": report.rel_entropy,
+            "identity": report.residuals.get("minimal_identity", math.inf),
             "degeneracies": m.degeneracies.tolist(), "q": m.q, "p_tilde": m.p_tilde}
 
 
 def errors(got: dict, want: dict) -> dict:
     """Per quantity, the largest |float - oracle| over its clusters and the largest ratio
-    of |float - oracle| to its bound; the relative entropy only when it is finite."""
-    keys = ["s_rho", "q", "p_tilde"] + ([] if want["rel"] == math.inf else ["rel"])
+    of |float - oracle| to its bound; the relative entropy and the identity residual only
+    when the relative entropy is finite."""
+    finite = [] if want["rel"] == math.inf else ["rel", "identity"]
+    keys = ["s_rho", "s_sigma", "q", "p_tilde"] + finite
     out = {}
     with mp.workdps(DIGITS):
         for key in keys:
@@ -272,12 +293,20 @@ def trial_pairs(name: str, trials: int = TRIALS):
 
 @pytest.mark.parametrize("name", ["klein", "luders", "minimal"])
 def test_float_values_within_forward_error_bounds(name):
+    """S(rho), S(sigma), S(rho||sigma), q, p_tilde and the identity residual; for ``luders``
+    and ``minimal`` the identity is the check's own ``identity_residual``."""
     finite = 0
-    for rho, sigma in trial_pairs(name):
+    config = hn.acceptance_config()
+    for t, (rho, sigma) in enumerate(trial_pairs(name)):
         want = oracle(rho.matrix, sigma.matrix)
         got = float_values(rho, sigma)
+        if name != "klein":
+            inputs, _ = hn.CHECK_SPECS[name].generate(hn.trial_rng(config.seed, name, t), config, t)
+            residual = hn.CHECK_SPECS[name].evaluate(**inputs)["identity_residual"]
+            assert float(residual).hex() == float(got["identity"]).hex()
         assert got["degeneracies"] == want["degeneracies"]
         assert math.isinf(got["rel"]) == (want["rel"] == math.inf)
+        assert math.isinf(got["identity"]) == (want["identity"] == math.inf)
         worst = errors(got, want)
         finite += "rel" in worst
         assert all(ratio <= 1.0 for _, ratio in worst.values()), worst
