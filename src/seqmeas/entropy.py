@@ -4,8 +4,16 @@ Von Neumann entropy, relative entropy through the spectral double sum,
 Klein's inequality, minimal pairs and their entropy identity, and the
 explicit non-minimal counterexample on C^2 o C^2.  All entropies are in
 nats; +infinity is signalled by ``math.inf`` and every consumer branches on
-it explicitly.  No projector is formed: for eigenbases V, W and one-hot
-cluster rows C, Tr(P_a Q_b) = C_V |V†W|^2 C_W^T, Tr(rho Q_j) = C_W diag(W† rho W).
+it explicitly.
+
+One stacked kernel, :func:`_pair_entropies`, evaluates every pairwise
+quantity: pairs (rho, sigma) in as one ``(n, 2, d, d)`` stack, n results out,
+through one ``eigh``.  ``relative_entropy``, ``entropy_report``,
+``is_minimal_pair`` and ``minimal_identity_check`` are its n = 1 case; the
+suite's entropy checks request it as a step, so one call answers every trial
+of one d.  No projector is formed: for eigenbases V, W and one-hot cluster
+rows C, padded with zero rows to d, Tr(P_a Q_b) = C_V |V†W|^2 C_W^T and
+Tr(rho Q_j) = C_W diag(W† rho W).
 """
 
 from __future__ import annotations
@@ -17,12 +25,12 @@ import numpy as np
 
 from .errors import ShapeError
 from .quantum import (
+    CLUSTER_TOL,
     DensityOperator,
-    SpectralDecomposition,
     _one_at_a_time,
     dagger,
+    hermitian_eigendecomposition,
     partial_trace,
-    spectral_projectors,
     tensor_product,
 )
 
@@ -42,52 +50,62 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return s if s > 0.0 else 0.0
 
 
-def _decompose(rho: DensityOperator, sigma: DensityOperator):
-    """Steps: the spectral decompositions of rho and sigma; a shared operator is decomposed once."""
+def _pair_entropies(pairs: np.ndarray) -> list:
+    """Kernel: ``(S(rho||sigma), S(rho||rho), near_boundary, minimality)`` of each pair of a
+    ``(n, 2, d, d)`` stack of (rho, sigma), bit for bit as one pair at a time.
+
+    One Hermiticity check and one ``eigh`` decompose the 2n operators, so
+    S(rho||rho) reuses rho's decomposition.  Eigenvalues within ``CLUSTER_TOL``
+    share a cluster; the one-hot cluster rows C are padded with zero rows to d,
+    so every array of one d has one shape.  ``near_boundary`` says whether some
+    sigma eigenvalue within a decade above ``SUPPORT_EPS`` overlaps the support
+    of rho, i.e. the finite/infinite decision was made close to the cutoff.
+    Every reduction runs per pair, along the trailing axes.
+    """
+    n, _, d, _ = pairs.shape
+    w, v = hermitian_eigendecomposition(pairs.reshape(2 * n, d, d))
+    w, v = w.reshape(n, 2, d), v.reshape(n, 2, d, d)
+    cuts = np.cumsum(np.diff(w) > CLUSTER_TOL, axis=-1)
+    labels = np.concatenate((np.zeros((n, 2, 1), dtype=int), cuts), axis=-1)
+    clusters = (labels[..., np.newaxis, :] == np.arange(d)[:, np.newaxis]).astype(float)
+    sizes = clusters.sum(axis=-1)  # the degeneracies; 0 on a padding row
+    # a one-member cluster keeps its eigenvalue, a larger one takes the mean; a padding row 0
+    means = (clusters * w[..., np.newaxis, :]).sum(axis=-1) / np.maximum(sizes, 1)
+    eigs = np.where(sizes == 1, np.take_along_axis(w, clusters.argmax(axis=-1), -1), means)
+    # rho's clusters against sigma's, then against its own: S(rho||sigma) and S(rho||rho)
+    r, s, c_s = eigs[:, :1], eigs[:, ::-1], np.swapaxes(clusters[:, ::-1], -1, -2)
+    overlaps = clusters[:, :1] @ np.abs(dagger(v[:, :1]) @ v[:, ::-1]) ** 2 @ c_s  # Tr(P_a Q_b)
+    r_supported, s_supported = r > SUPPORT_EPS, s > SUPPORT_EPS
+    rows = (overlaps > OVERLAP_EPS) & r_supported[..., np.newaxis]
+    diverges = (rows & ~s_supported[..., np.newaxis, :]).any(axis=(-2, -1))
+    s_near = s_supported[:, 0] & (s[:, 0] <= 10.0 * SUPPORT_EPS)
+    near = (rows[:, 0] & s_near[:, np.newaxis, :]).any(axis=(-2, -1))
+    log_r = np.log(np.where(r_supported, r, 1.0))
+    log_s = np.log(np.where(s_supported, s, 1.0))
+    tr_rho_log_rho = np.where(r_supported, r * log_r * sizes[:, :1], 0.0).sum(axis=-1)
+    mask = r_supported[..., np.newaxis] & s_supported[..., np.newaxis, :]
+    terms = np.where(mask, r[..., np.newaxis] * log_s[..., np.newaxis, :] * overlaps, 0.0)
+    rel = np.where(diverges, math.inf, tr_rho_log_rho - terms.sum(axis=(-2, -1)))
+    # q_j = Tr(rho Q_j) and p_tilde_j = Tr(sigma Q_j), the cluster sums of diag(W† x W)
+    m = dagger(v[:, 1:]) @ pairs @ v[:, 1:]
+    q, p_tilde = np.moveaxis(
+        np.clip(np.diagonal(m, axis1=-2, axis2=-1).real @ c_s[:, 0], 0.0, None), 1, 0)
+    residuals = np.abs(p_tilde - q)
+    minimal = (residuals < VERDICT_TOL).all(axis=-1)
+    k = (labels[:, 1, -1] + 1).tolist()  # sigma's clusters
+    return [
+        (a, b, c, MinimalityResult(ok, e[:j], g[:j], x[:j], y[:j], z[:j]))
+        for a, b, c, ok, j, e, g, x, y, z in zip(
+            rel[:, 0].tolist(), rel[:, 1].tolist(), near.tolist(), minimal.tolist(), k,
+            eigs[:, 1], sizes[:, 1].astype(int), q, p_tilde, residuals)
+    ]
+
+
+def _compared(rho: DensityOperator, sigma: DensityOperator):
+    """Steps: the :func:`_pair_entropies` entry of the pair (rho, sigma)."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    sd_r = yield spectral_projectors, rho.matrix
-    sd_s = sd_r if sigma is rho else (yield spectral_projectors, sigma.matrix)
-    return sd_r, sd_s
-
-
-def _overlaps(first: SpectralDecomposition, second: SpectralDecomposition) -> np.ndarray:
-    """``Tr(P_a Q_b)`` of the two decompositions' clusters: ``C_a |V†W|² C_bᵀ``."""
-    a, b = first.family, second.family
-    return a.clusters @ np.abs(dagger(a.vectors) @ b.vectors) ** 2 @ b.clusters.T
-
-
-def _relative_entropy_parts(
-    sd_r: SpectralDecomposition, sd_s: SpectralDecomposition
-) -> tuple[float, bool]:
-    """Relative entropy via the cluster double sum, plus a boundary flag.
-
-    The flag reports whether some sigma eigenvalue sits within a decade of
-    the support threshold while overlapping the support of rho, i.e. the
-    finite/infinite decision was made close to the cutoff.
-    """
-    r = sd_r.eigenvalues
-    s = sd_s.eigenvalues
-
-    overlaps = _overlaps(sd_r, sd_s)
-
-    r_supported = r > SUPPORT_EPS
-    s_zero = s <= SUPPORT_EPS
-    s_near = (s > SUPPORT_EPS) & (s <= 10.0 * SUPPORT_EPS)
-    rows = overlaps[r_supported]
-    diverges = bool((rows[:, s_zero] > OVERLAP_EPS).any())
-    near_boundary = bool((rows[:, s_near] > OVERLAP_EPS).any())
-    if diverges:
-        return math.inf, near_boundary
-
-    rs = r[r_supported]
-    tr_rho_log_rho = float((rs * np.log(rs) * sd_r.family.degeneracies[r_supported]).sum())
-    s_supported = ~s_zero
-    block = rows[:, s_supported]
-    tr_rho_log_sigma = float(
-        (rs[:, np.newaxis] * np.log(s[s_supported])[np.newaxis, :] * block).sum()
-    )
-    return tr_rho_log_rho - tr_rho_log_sigma, near_boundary
+    return (yield _pair_entropies, np.stack((rho.matrix, sigma.matrix)))
 
 
 @_one_at_a_time
@@ -97,8 +115,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     Computed from the spectral clusters of both operators; the result is
     +infinity when rho has weight on an eigenspace where sigma vanishes.
     """
-    value, _ = _relative_entropy_parts(*(yield from _decompose(rho, sigma)))
-    return value
+    return (yield from _compared(rho, sigma))[0]
 
 
 def _klein(value: float) -> float:
@@ -123,28 +140,10 @@ class MinimalityResult:
     residuals: np.ndarray
 
 
-def _minimality(
-    rho: DensityOperator, sigma: DensityOperator, sd_s: SpectralDecomposition
-) -> MinimalityResult:
-    w, clusters = sd_s.family.vectors, sd_s.family.clusters
-    m = dagger(w) @ np.stack((rho.matrix, sigma.matrix)) @ w  # W† rho W and W† sigma W
-    q, p_tilde = np.clip(np.diagonal(m, axis1=1, axis2=2).real @ clusters.T, 0.0, None)
-    residuals = np.abs(p_tilde - q)
-    return MinimalityResult(
-        is_minimal=bool((residuals < VERDICT_TOL).all()),
-        eigenvalues=sd_s.eigenvalues,
-        degeneracies=sd_s.family.degeneracies,
-        q=q,
-        p_tilde=p_tilde,
-        residuals=residuals,
-    )
-
-
+@_one_at_a_time
 def is_minimal_pair(rho: DensityOperator, sigma: DensityOperator) -> MinimalityResult:
     """Test Tr(sigma Q_j) = Tr(rho Q_j) on every eigenprojection of sigma."""
-    if rho.dim != sigma.dim:
-        raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _minimality(rho, sigma, spectral_projectors(sigma.matrix))
+    return (yield from _compared(rho, sigma))[3]
 
 
 def minimal_identity_check(rho: DensityOperator, sigma: DensityOperator) -> float | None:
@@ -199,11 +198,9 @@ class EntropyReport:
 @_one_at_a_time
 def entropy_report(rho: DensityOperator, sigma: DensityOperator) -> EntropyReport:
     """Run every pairwise entropy check, decomposing each operator once."""
+    rel, _, near_boundary, minimality = yield from _compared(rho, sigma)
     s_rho = von_neumann_entropy(rho)
     s_sigma = von_neumann_entropy(sigma)
-    sd_r, sd_s = yield from _decompose(rho, sigma)
-    rel, near_boundary = _relative_entropy_parts(sd_r, sd_s)
-    minimality = _minimality(rho, sigma, sd_s)
     residuals = {
         "klein": _klein(rel),
         "max_minimality_deviation": float(minimality.residuals.max()),

@@ -417,11 +417,10 @@ def _draw_klein(rng, config, trial):
 
 @_one_at_a_time
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
-    sd_r, sd_s = yield from ent._decompose(rho, sigma)  # S(rho||rho) reuses rho's decomposition
-    rel = ent._relative_entropy_parts(sd_r, sd_s)[0]
+    rel, self_rel, _, _ = yield from ent._compared(rho, sigma)
     return {
         "klein_violation": ent._klein(rel),
-        "self_rel_entropy": abs(ent._relative_entropy_parts(sd_r, sd_r)[0]),
+        "self_rel_entropy": abs(self_rel),
         "infinite_rel_entropy_trials": 1.0 if math.isinf(rel) else 0.0,
     }
 

@@ -11,7 +11,7 @@ import seqmeas.entropy as ent
 import seqmeas.quantum as qm
 import seqmeas.stat_model as sm
 from seqmeas.errors import ShapeError
-from seqmeas.harness import random_density, random_pvm, random_ranks
+from seqmeas.harness import random_density, random_pvm, random_ranks, random_unitary
 
 LOG2 = math.log(2.0)
 #: the four-term closed form over the counterexample spectrum, correctly rounded
@@ -345,3 +345,70 @@ def test_entropy_functions_build_no_projector_family(monkeypatch):
     assert calls == []
     assert len(qm.spectral_projectors(sigma.matrix).family.stack) == 3  # the spy sees a stack read
     assert calls == [[1, 2, 3]]
+
+
+def density_in_basis(eigenvalues, u) -> qm.DensityOperator:
+    """U diag(eigenvalues) U†, exactly Hermitian; the eigenvalues sum to one."""
+    m = (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+    return qm.DensityOperator(0.5 * (m + m.conj().T))
+
+
+def hard_pairs(dim, rng) -> list:
+    """Pairs (rho, sigma) for the kernel: rank-deficient rho and sigma, clusters of three,
+    sigma eigenvalues at 0.5, 1, 2 and 10 SUPPORT_EPS, and an infinite S(rho||sigma)."""
+    def unitary():
+        return random_unitary(dim, rng).matrix
+
+    def spectrum(*head):
+        rest = rng.dirichlet(np.ones(dim - len(head))) * (1.0 - sum(head))
+        return [*head, *rest]
+
+    u = unitary()
+    pairs = [
+        (random_density(dim, rng=rng), random_density(dim, rng=rng)),
+        (random_density(dim, rank=2, rng=rng), random_density(dim, rng=rng)),
+        # rank-deficient sigma under a full-rank rho: S(rho||sigma) = inf
+        (random_density(dim, rng=rng), random_density(dim, rank=dim - 2, rng=rng)),
+        # rho's support inside sigma's, both rank-deficient, in one basis: finite
+        (density_in_basis([0.5, 0.5] + [0.0] * (dim - 2), u),
+         density_in_basis([0.25, 0.25, 0.5] + [0.0] * (dim - 3), u)),
+        # a cluster of three in each, and three zero eigenvalues in rho
+        (density_in_basis(spectrum(0.1, 0.1, 0.1), unitary()),
+         density_in_basis(spectrum(0.05, 0.05, 0.05), unitary())),
+        (density_in_basis([0.0, 0.0, 0.0] + [1.0 / (dim - 3)] * (dim - 3), unitary()),
+         random_density(dim, rng=rng)),
+    ]
+    for factor in (0.5, 1.0, 2.0, 10.0):
+        sigma = density_in_basis(spectrum(factor * ent.SUPPORT_EPS), unitary())
+        pairs.append((random_density(dim, rng=rng), sigma))
+    pairs.append((pairs[0][0], pairs[0][0]))
+    return pairs
+
+
+def kernel_bits(result) -> tuple:
+    rel, self_rel, near, m = result
+    return (float(rel).hex(), float(self_rel).hex(), near, m.is_minimal, m.eigenvalues.tobytes(),
+            m.degeneracies.tolist(), m.q.tobytes(), m.p_tilde.tobytes(), m.residuals.tobytes())
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_kernel_on_a_stack_equals_one_pair_at_a_time(dim):
+    """The stacked kernel gives each pair the bits of a call on that pair alone, in any
+    order of the stack, and the public functions are its n = 1 case."""
+    pairs = hard_pairs(dim, rng_for(f"kernel-stack-{dim}"))
+    stack = np.array([np.stack((rho.matrix, sigma.matrix)) for rho, sigma in pairs])
+    stacked = [kernel_bits(r) for r in ent._pair_entropies(stack)]
+    alone = [kernel_bits(ent._pair_entropies(stack[i : i + 1])[0]) for i in range(len(stack))]
+    assert stacked == alone
+    assert [kernel_bits(r) for r in ent._pair_entropies(stack[::-1].copy())] == stacked[::-1]
+    for (rho, sigma), bits in zip(pairs, stacked):
+        report = ent.entropy_report(rho, sigma)
+        assert float(report.rel_entropy).hex() == bits[0]
+        assert float(ent.relative_entropy(rho, sigma)).hex() == bits[0]
+        assert report.minimality.q.tobytes() == bits[6]
+    # the pairs cover what they claim
+    results = ent._pair_entropies(stack)
+    assert math.isinf(results[2][0]) and not math.isinf(results[3][0])
+    assert max(max(r[3].degeneracies) for r in results) >= 3
+    assert any(r[2] for r in results[-5:-1])  # sigma's eigenvalue near the cutoff, flagged
+    assert all(abs(r[1]) < 1e-12 for r in results)  # S(rho||rho)

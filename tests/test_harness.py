@@ -458,26 +458,18 @@ class TestRunCheck:
             hn.replay_failure(json.loads(json.dumps(bundle)))
 
     def test_entropy_trials_decompose_each_operator_once(self, monkeypatch):
-        import seqmeas.entropy as ent
-
-        calls = []
-        original = qm.spectral_projectors
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(qm, "spectral_projectors", counting)
-        monkeypatch.setattr(ent, "spectral_projectors", counting)
+        """klein: rho and sigma, whose decompositions also give S(rho||rho); luders and
+        minimal: rho and its Lueders image.  Two matrices reach ``eigh`` per trial."""
         config = hn.ExperimentConfig(seed=7, dims=(3, 4), trials=4)
-        # luders and minimal: rho and its Lueders image; klein: rho and sigma, whose
-        # decompositions also give S(rho||rho)
-        for name, expected in (("luders", 2), ("minimal", 2), ("klein", 2)):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        for name in ("luders", "minimal", "klein"):
             spec = hn.CHECK_SPECS[name]
             inputs, _ = spec.generate(hn.trial_rng(config.seed, name, 1), config, 1)
-            calls.clear()
+            shapes.clear()
             spec.evaluate(**inputs)
-            assert len(calls) == expected, name
+            assert sum(math.prod(shape[:-2]) for shape in shapes) == 2, name
 
     def test_replay_rejects_malformed_bundles(self):
         with pytest.raises(InputError):
@@ -765,7 +757,7 @@ class TestBatchedGeneration:
             shapes.clear()
             hn._trial_records((name,), config, range(n))
             counts[n] = list(shapes)
-        assert counts == {1: [(1, 3, 3)] * 2, 40: [(40, 3, 3)] * 2}
+        assert counts == {1: [(2, 3, 3)], 40: [(80, 3, 3)]}  # one for rho and sigma
 
     def test_densities_of_every_rank_share_one_check(self, monkeypatch):
         """Klein's densities of one d are checked in one stack per round, whatever their ranks."""
