@@ -31,6 +31,7 @@ from .quantum import (
     dagger,
     hermitian_eigendecomposition,
     partial_trace,
+    spectral_projectors,  # noqa: F401  (kept in this namespace for callers that read it here)
     tensor_product,
 )
 
@@ -65,8 +66,7 @@ def _pair_entropies(pairs: np.ndarray) -> list:
     n, _, d, _ = pairs.shape
     w, v = hermitian_eigendecomposition(pairs.reshape(2 * n, d, d))
     w, v = w.reshape(n, 2, d), v.reshape(n, 2, d, d)
-    cuts = np.cumsum(np.diff(w) > CLUSTER_TOL, axis=-1)
-    labels = np.concatenate((np.zeros((n, 2, 1), dtype=int), cuts), axis=-1)
+    labels = np.cumsum(np.diff(w, prepend=w[..., :1]) > CLUSTER_TOL, axis=-1)  # cluster of each
     clusters = (labels[..., np.newaxis, :] == np.arange(d)[:, np.newaxis]).astype(float)
     sizes = clusters.sum(axis=-1)  # the degeneracies; 0 on a padding row
     # a one-member cluster keeps its eigenvalue, a larger one takes the mean; a padding row 0

@@ -779,7 +779,9 @@ def _trial_record(tolerances: dict, bundle: dict, instance, residuals) -> tuple:
 
 
 def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
-    """Fold the trial records, in trial order, into one check's outcome; its duration is left 0."""
+    """Fold the trial records, in trial order, into one check's outcome; its duration is left 0.
+
+    A residual that no trial evaluated, as when every trial failed at build, reads NaN."""
     spec = CHECK_SPECS[name]
     tolerances = _gates(spec.tolerances, config.tol)
     if spec.fixed is not None:  # the fixed instance is trial -1, folded last
@@ -787,11 +789,13 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
         fixed = _trial_record(tolerances, {"check": name, "trial": -1}, ({}, {}), residuals)
         records = [*records, fixed]
     maxima = {k: 0.0 for k in tolerances}
+    evaluated = set()
     counters: dict = {}
     failures: list = []
     for residuals, generated_counters, failure in records:
         for key, value in residuals.items():
             if key in tolerances:
+                evaluated.add(key)
                 if value > maxima[key] or math.isnan(value):  # a NaN sticks
                     maxima[key] = value
             else:
@@ -803,7 +807,7 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
     return CheckOutcome(
         name=name,
         trials=n_trials(name, config),
-        residual_maxima=maxima,
+        residual_maxima={k: v if k in evaluated else math.nan for k, v in maxima.items()},
         tolerances=tolerances,
         counters=counters,
         failures=failures,

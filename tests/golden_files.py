@@ -14,13 +14,15 @@ commit their diff::
     PYTHONPATH=src python tests/golden_files.py
 
 ``--moves`` writes nothing.  It prints each number that changed with its move
-in units of eps, and each group of values that a fresh run gained or lost.
+in units of eps and in ulps of the old value (``math.ulp``), and each group of
+values that a fresh run gained or lost.
 """
 
 import contextlib
 import dataclasses
 import difflib
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -126,8 +128,8 @@ def _group(path: str, present: set) -> str:
 
 def moves(name: str, fresh: str) -> list:
     """Lines naming what moved from golden file ``name`` to the ``fresh`` text: each changed
-    leaf, numbers with their move in eps, then the values gained or lost, counted per
-    group (a whole bundle, or a key of one)."""
+    leaf, numbers with their move in eps and in ulps of the old value, then the values
+    gained or lost, counted per group (a whole bundle, or a key of one)."""
     old, new = leaves(json.loads((GOLDEN / name).read_text())), leaves(json.loads(fresh))
     lines = []
     for path in sorted(old.keys() & new.keys()):
@@ -135,7 +137,7 @@ def moves(name: str, fresh: str) -> list:
         if a == b and type(a) is type(b):
             continue
         numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
-        move = f" ({(b - a) / EPS:+.1f} eps)" if numbers else ""
+        move = f" ({(b - a) / EPS:+.1f} eps, {(b - a) / math.ulp(a):+.4g} ulp)" if numbers else ""
         lines.append(f"{path}: {a!r} -> {b!r}{move}")
     for sign, mine, other in (("-", old, new), ("+", new, old)):
         present = {"/".join(p.split("/")[:n]) for p in other for n in range(2, 5)}

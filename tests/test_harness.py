@@ -384,6 +384,24 @@ class TestRunCheck:
         line = next(l for l in capsys.readouterr().out.splitlines() if "klein_violation" in l)
         assert line.split()[-1] == "FAIL"
 
+    def test_a_residual_no_trial_evaluated_reads_nan(self, monkeypatch):
+        """Every jcheck draw raises, so no jcheck or chain trial is evaluated: every maximum
+        reads NaN, not 0.0, and both checks fail with a bundle per trial."""
+        spec = hn.CHECK_SPECS["jcheck"]
+
+        def draw(rng, config, trial):
+            raise InputError("synthetic draw failure")
+            yield  # a generator function like every draw
+
+        monkeypatch.setitem(hn.CHECK_SPECS, "jcheck", dataclasses.replace(spec, draw=draw))
+        config = hn.ExperimentConfig(seed=1, dims=(2, 3), trials=4)
+        outcomes = hn._run_group(map, 1, ("jcheck", "chain"), config)
+        for outcome in outcomes:
+            assert set(outcome.residual_maxima) == set(outcome.tolerances)
+            assert all(math.isnan(v) for v in outcome.residual_maxima.values()), outcome.name
+            assert not outcome.passed and len(outcome.failures) == 4
+            assert outcome.to_json()["max_residual"] == "nan"
+
     def test_tol_override_leaves_verdict_gates(self, monkeypatch):
         import dataclasses
 
@@ -1026,11 +1044,20 @@ class TestParallelSuite:
     def test_unguarded_script_raises_seqmeas_error(self, tmp_path):
         """Each worker re-imports the script, which runs the suite while the worker
         bootstraps; the worker refuses before it makes a pool and dies, and the caller
-        gets a ``SeqMeasError`` naming the guard."""
+        gets a ``SeqMeasError`` naming the guard.  The workers share the caller's stderr
+        and their tracebacks interleave there, so a worker also reports its refusal as
+        one line in one ``os.write``, which a pipe keeps whole."""
         (tmp_path / "unguarded.py").write_text(
+            "import os\n"
             "import seqmeas.harness as hn\n"
+            "from seqmeas.errors import SeqMeasError\n"
             "hn._cpu_count = lambda: 2\n"
-            "hn.run_suite(hn.ExperimentConfig(seed=1, dims=(2,), trials=3))\n"
+            "try:\n"
+            "    hn.run_suite(hn.ExperimentConfig(seed=1, dims=(2,), trials=3))\n"
+            "except SeqMeasError as exc:\n"
+            "    if __name__ == '__mp_main__':  # a worker re-importing this script\n"
+            "        os.write(2, f'\\nseqmeas.errors.SeqMeasError: {exc}\\n'.encode())\n"
+            "    raise\n"
         )
         proc = self._python(tmp_path, "unguarded.py")
         assert proc.returncode != 0
@@ -1043,6 +1070,18 @@ class TestParallelSuite:
         # nothing follows: with no worker's pool, the resource tracker has no semaphore
         # to reap, not even one a worker killed mid-cleanup unlinked but left registered
         assert lines[-1] == error, proc.stderr
+
+
+def test_golden_moves_count_eps_and_ulps():
+    """``golden_files.py --moves`` names a one-ulp nudge of one maximum as +1 ulp."""
+    doc = json.loads((golden_files.GOLDEN / "suite_fingerprint.json").read_text())
+    maxima = doc["checks"][0]["residual_maxima"]
+    old = maxima["j_residual"]
+    maxima["j_residual"] = new = math.nextafter(old, math.inf)
+    (line,) = golden_files.moves("suite_fingerprint.json", golden_files.text(doc))
+    eps = (new - old) / golden_files.EPS
+    path = "/checks/jcheck/residual_maxima/j_residual"
+    assert line == f"{path}: {old!r} -> {new!r} ({eps:+.1f} eps, +1 ulp)"
 
 
 def test_suite_path_forms_no_projector_stack(monkeypatch):
