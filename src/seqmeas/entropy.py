@@ -4,16 +4,11 @@ Von Neumann entropy, relative entropy through the spectral double sum,
 Klein's inequality, minimal pairs and their entropy identity, and the
 explicit non-minimal counterexample on C^2 o C^2.  All entropies are in
 nats; +infinity is signalled by ``math.inf`` and every consumer branches on
-it explicitly.
-
-One stacked kernel, :func:`_pair_entropies`, evaluates every pairwise
-quantity: pairs (rho, sigma) in as one ``(n, 2, d, d)`` stack, n results out,
-through one ``eigh``.  ``relative_entropy``, ``entropy_report``,
-``is_minimal_pair`` and ``minimal_identity_check`` are its n = 1 case; the
-suite's entropy checks request it as a step, so one call answers every trial
-of one d.  No projector is formed: for eigenbases V, W and one-hot cluster
-rows C, padded with zero rows to d, Tr(P_a Q_b) = C_V |V†W|^2 C_W^T and
-Tr(rho Q_j) = C_W diag(W† rho W).
+it explicitly.  One stacked kernel, :func:`_pair_entropies`, evaluates the
+pairwise quantities of a ``(n, 2, d, d)`` stack of pairs (rho, sigma); the public
+functions are its n = 1 case, and the suite's checks request it as a step, so one
+call answers every trial of one d.  No projector is formed: for eigenbases V, W and
+one-hot cluster rows C, Tr(P_a Q_b) = C_V |V†W|^2 C_W^T, Tr(rho Q_j) = C_W diag(W† rho W).
 """
 
 from __future__ import annotations
@@ -51,61 +46,75 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return s if s > 0.0 else 0.0
 
 
-def _pair_entropies(pairs: np.ndarray) -> list:
-    """Kernel: ``(S(rho||sigma), S(rho||rho), near_boundary, minimality)`` of each pair of a
-    ``(n, 2, d, d)`` stack of (rho, sigma), bit for bit as one pair at a time.
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``counts`` consecutive ``values``, bit for bit as the run's own
+    ``.sum()`` (0 if empty): the runs of one length are summed as the rows of one array."""
+    lengths = set(counts.tolist())
+    if len(lengths) == 1 and 0 not in lengths:  # one length: the runs are the rows
+        return values.reshape(len(counts), -1).sum(axis=-1)
+    sums, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
+    for count in lengths - {0}:
+        sums[counts == count] = values[starts[counts == count, None] + np.arange(count)].sum(-1)
+    return sums
 
-    One Hermiticity check and one ``eigh`` decompose the 2n operators, so
-    S(rho||rho) reuses rho's decomposition.  Eigenvalues within ``CLUSTER_TOL``
-    share a cluster; the one-hot cluster rows C are padded with zero rows to d,
-    so every array of one d has one shape.  ``near_boundary`` says whether some
-    sigma eigenvalue within a decade above ``SUPPORT_EPS`` overlaps the support
-    of rho, i.e. the finite/infinite decision was made close to the cutoff.
-    Every reduction runs per pair, along the trailing axes.
+
+def _pair_entropies(pairs: np.ndarray, self_rels, minimalities) -> list:
+    """Kernel: ``(S(rho||sigma), S(rho||rho), near_boundary, minimality)`` of each pair of a
+    ``(n, 2, d, d)`` stack of (rho, sigma), bit for bit as one pair at a time; a pair whose
+    ``self_rels`` or ``minimalities`` flag is off reads None for S(rho||rho) or minimality.
+
+    One Hermiticity check and one ``eigh`` decompose the 2n operators.  Eigenvalues within
+    ``CLUSTER_TOL`` share a cluster, which takes their mean; the one-hot cluster rows are
+    padded with zero rows to d.  ``near_boundary`` says whether a sigma eigenvalue within a
+    decade above ``SUPPORT_EPS`` overlaps rho's support.  Each sum runs over its pair's
+    supported entries alone, in cluster order, so padding never reorders it.
     """
     n, _, d, _ = pairs.shape
     w, v = hermitian_eigendecomposition(pairs.reshape(2 * n, d, d))
-    w, v = w.reshape(n, 2, d), v.reshape(n, 2, d, d)
-    labels = np.cumsum(np.diff(w, prepend=w[..., :1]) > CLUSTER_TOL, axis=-1)  # cluster of each
-    clusters = (labels[..., np.newaxis, :] == np.arange(d)[:, np.newaxis]).astype(float)
+    labels = np.cumsum(np.diff(w, prepend=w[:, :1]) > CLUSTER_TOL, axis=-1)  # cluster of each
+    clusters = (labels[:, np.newaxis, :] == np.arange(d)[:, np.newaxis]).astype(float)
     sizes = clusters.sum(axis=-1)  # the degeneracies; 0 on a padding row
-    # a one-member cluster keeps its eigenvalue, a larger one takes the mean; a padding row 0
-    means = (clusters * w[..., np.newaxis, :]).sum(axis=-1) / np.maximum(sizes, 1)
-    eigs = np.where(sizes == 1, np.take_along_axis(w, clusters.argmax(axis=-1), -1), means)
-    # rho's clusters against sigma's, then against its own: S(rho||sigma) and S(rho||rho)
-    r, s, c_s = eigs[:, :1], eigs[:, ::-1], np.swapaxes(clusters[:, ::-1], -1, -2)
-    overlaps = clusters[:, :1] @ np.abs(dagger(v[:, :1]) @ v[:, ::-1]) ** 2 @ c_s  # Tr(P_a Q_b)
+    eigs = np.zeros((2 * n, d))
+    eigs[sizes > 0] = _segment_sums(w.ravel(), sizes[sizes > 0].astype(int)) / sizes[sizes > 0]
+    eigs, sizes, clusters, v = (x.reshape(n, 2, *x.shape[1:]) for x in (eigs, sizes, clusters, v))
+    r, s = eigs[:, 0], eigs[:, 1]
     r_supported, s_supported = r > SUPPORT_EPS, s > SUPPORT_EPS
-    rows = (overlaps > OVERLAP_EPS) & r_supported[..., np.newaxis]
-    diverges = (rows & ~s_supported[..., np.newaxis, :]).any(axis=(-2, -1))
-    s_near = s_supported[:, 0] & (s[:, 0] <= 10.0 * SUPPORT_EPS)
-    near = (rows[:, 0] & s_near[:, np.newaxis, :]).any(axis=(-2, -1))
-    log_r = np.log(np.where(r_supported, r, 1.0))
-    log_s = np.log(np.where(s_supported, s, 1.0))
-    tr_rho_log_rho = np.where(r_supported, r * log_r * sizes[:, :1], 0.0).sum(axis=-1)
-    mask = r_supported[..., np.newaxis] & s_supported[..., np.newaxis, :]
-    terms = np.where(mask, r[..., np.newaxis] * log_s[..., np.newaxis, :] * overlaps, 0.0)
-    rel = np.where(diverges, math.inf, tr_rho_log_rho - terms.sum(axis=(-2, -1)))
-    # q_j = Tr(rho Q_j) and p_tilde_j = Tr(sigma Q_j), the cluster sums of diag(W† x W)
-    m = dagger(v[:, 1:]) @ pairs @ v[:, 1:]
-    q, p_tilde = np.moveaxis(
-        np.clip(np.diagonal(m, axis1=-2, axis2=-1).real @ c_s[:, 0], 0.0, None), 1, 0)
-    residuals = np.abs(p_tilde - q)
-    minimal = (residuals < VERDICT_TOL).all(axis=-1)
-    k = (labels[:, 1, -1] + 1).tolist()  # sigma's clusters
-    return [
-        (a, b, c, MinimalityResult(ok, e[:j], g[:j], x[:j], y[:j], z[:j]))
-        for a, b, c, ok, j, e, g, x, y, z in zip(
-            rel[:, 0].tolist(), rel[:, 1].tolist(), near.tolist(), minimal.tolist(), k,
-            eigs[:, 1], sizes[:, 1].astype(int), q, p_tilde, residuals)
-    ]
+    log_r, log_s = np.log(np.where(r_supported, r, 1.0)), np.log(np.where(s_supported, s, 1.0))
+    tr_rho_log_rho = _segment_sums((r * log_r * sizes[:, 0])[r_supported], r_supported.sum(-1))
+
+    def relative(x: int, log_x: np.ndarray, x_supported: np.ndarray):
+        """S(rho||x) for operator x of each pair, and where rho's support overlaps x's clusters."""
+        c_x = np.swapaxes(clusters[:, x], 1, 2)
+        overlaps = clusters[:, 0] @ np.abs(dagger(v[:, 0]) @ v[:, x]) ** 2 @ c_x  # Tr(P_a Q_b)
+        rows = (overlaps > OVERLAP_EPS) & r_supported[..., np.newaxis]
+        mask = r_supported[..., np.newaxis] & x_supported[:, np.newaxis, :]
+        terms = r[..., np.newaxis] * log_x[:, np.newaxis, :] * overlaps
+        rel = tr_rho_log_rho - _segment_sums(terms[mask], mask.sum(axis=(1, 2)))
+        diverges = (rows & ~x_supported[:, np.newaxis, :]).any(axis=(1, 2))
+        return np.where(diverges, math.inf, rel).tolist(), rows
+
+    rel, rows = relative(1, log_s, s_supported)
+    near = (rows & (s_supported & (s <= 10.0 * SUPPORT_EPS))[:, np.newaxis, :]).any(axis=(1, 2))
+    self_rel = relative(0, log_r, r_supported)[0] if any(self_rels) else [None] * n
+    minimality = [None] * n
+    if any(minimalities):
+        # q_j = Tr(rho Q_j) and p_tilde_j = Tr(sigma Q_j), the cluster sums of diag(W† x W)
+        m = np.diagonal(dagger(v[:, 1:]) @ pairs @ v[:, 1:], axis1=-2, axis2=-1).real
+        q, p_tilde = np.moveaxis(np.clip(m @ np.swapaxes(clusters[:, 1], 1, 2), 0.0, None), 1, 0)
+        residuals = np.abs(p_tilde - q)
+        minimal, k = (residuals < VERDICT_TOL).all(-1).tolist(), (labels[1::2, -1] + 1).tolist()
+        minimality = [MinimalityResult(ok, e[:j], g[:j], x[:j], y[:j], z[:j])
+                      for ok, j, e, g, x, y, z
+                      in zip(minimal, k, s, sizes[:, 1].astype(int), q, p_tilde, residuals)]
+    return [(a, b if want_b else None, c, e if want_e else None) for a, b, c, e, want_b, want_e
+            in zip(rel, self_rel, near.tolist(), minimality, self_rels, minimalities)]
 
 
-def _compared(rho: DensityOperator, sigma: DensityOperator):
+def _compared(rho: DensityOperator, sigma: DensityOperator, self_rel=False, minimality=False):
     """Steps: the :func:`_pair_entropies` entry of the pair (rho, sigma)."""
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return (yield _pair_entropies, np.stack((rho.matrix, sigma.matrix)))
+    return (yield _pair_entropies, np.stack((rho.matrix, sigma.matrix)), self_rel, minimality)
 
 
 @_one_at_a_time
@@ -143,7 +152,7 @@ class MinimalityResult:
 @_one_at_a_time
 def is_minimal_pair(rho: DensityOperator, sigma: DensityOperator) -> MinimalityResult:
     """Test Tr(sigma Q_j) = Tr(rho Q_j) on every eigenprojection of sigma."""
-    return (yield from _compared(rho, sigma))[3]
+    return (yield from _compared(rho, sigma, minimality=True))[3]
 
 
 def minimal_identity_check(rho: DensityOperator, sigma: DensityOperator) -> float | None:
@@ -198,7 +207,7 @@ class EntropyReport:
 @_one_at_a_time
 def entropy_report(rho: DensityOperator, sigma: DensityOperator) -> EntropyReport:
     """Run every pairwise entropy check, decomposing each operator once."""
-    rel, _, near_boundary, minimality = yield from _compared(rho, sigma)
+    rel, _, near_boundary, minimality = yield from _compared(rho, sigma, minimality=True)
     s_rho = von_neumann_entropy(rho)
     s_sigma = von_neumann_entropy(sigma)
     residuals = {
@@ -209,11 +218,5 @@ def entropy_report(rho: DensityOperator, sigma: DensityOperator) -> EntropyRepor
         residuals["minimal_identity"] = abs(rel - (s_sigma - s_rho))
     if near_boundary:
         residuals["near_support_boundary"] = 1.0
-    return EntropyReport(
-        s_rho=s_rho,
-        s_sigma=s_sigma,
-        rel_entropy=rel,
-        gap=s_sigma - s_rho,
-        minimality=minimality,
-        residuals=residuals,
-    )
+    return EntropyReport(s_rho=s_rho, s_sigma=s_sigma, rel_entropy=rel, gap=s_sigma - s_rho,
+                         minimality=minimality, residuals=residuals)

@@ -417,7 +417,7 @@ def _draw_klein(rng, config, trial):
 
 @_one_at_a_time
 def evaluate_klein(rho: qm.DensityOperator, sigma: qm.DensityOperator) -> dict:
-    rel, self_rel, _, _ = yield from ent._compared(rho, sigma)
+    rel, self_rel, _, _ = yield from ent._compared(rho, sigma, self_rel=True)
     return {
         "klein_violation": ent._klein(rel),
         "self_rel_entropy": abs(self_rel),
@@ -788,15 +788,13 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
         (residuals,) = _evaluated(spec.fixed, [({}, {})])
         fixed = _trial_record(tolerances, {"check": name, "trial": -1}, ({}, {}), residuals)
         records = [*records, fixed]
-    maxima = {k: 0.0 for k in tolerances}
-    evaluated = set()
+    maxima: dict = {}
     counters: dict = {}
     failures: list = []
     for residuals, generated_counters, failure in records:
         for key, value in residuals.items():
             if key in tolerances:
-                evaluated.add(key)
-                if value > maxima[key] or math.isnan(value):  # a NaN sticks
+                if value > maxima.setdefault(key, 0.0) or math.isnan(value):  # a NaN sticks
                     maxima[key] = value
             else:
                 counters[key] = counters.get(key, 0.0) + value
@@ -807,7 +805,7 @@ def _outcome(name: str, config: ExperimentConfig, records) -> CheckOutcome:
     return CheckOutcome(
         name=name,
         trials=n_trials(name, config),
-        residual_maxima={k: v if k in evaluated else math.nan for k, v in maxima.items()},
+        residual_maxima={k: maxima.get(k, math.nan) for k in tolerances},
         tolerances=tolerances,
         counters=counters,
         failures=failures,

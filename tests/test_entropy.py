@@ -391,24 +391,58 @@ def kernel_bits(result) -> tuple:
             m.degeneracies.tolist(), m.q.tobytes(), m.p_tilde.tobytes(), m.residuals.tobytes())
 
 
+def kernel(stack, self_rels=True, minimalities=True) -> list:
+    """The kernel on a stack, every pair asking for the same parts."""
+    return ent._pair_entropies(stack, [self_rels] * len(stack), [minimalities] * len(stack))
+
+
 @pytest.mark.parametrize("dim", [4, 8])
 def test_kernel_on_a_stack_equals_one_pair_at_a_time(dim):
     """The stacked kernel gives each pair the bits of a call on that pair alone, in any
     order of the stack, and the public functions are its n = 1 case."""
     pairs = hard_pairs(dim, rng_for(f"kernel-stack-{dim}"))
     stack = np.array([np.stack((rho.matrix, sigma.matrix)) for rho, sigma in pairs])
-    stacked = [kernel_bits(r) for r in ent._pair_entropies(stack)]
-    alone = [kernel_bits(ent._pair_entropies(stack[i : i + 1])[0]) for i in range(len(stack))]
+    stacked = [kernel_bits(r) for r in kernel(stack)]
+    alone = [kernel_bits(kernel(stack[i : i + 1])[0]) for i in range(len(stack))]
     assert stacked == alone
-    assert [kernel_bits(r) for r in ent._pair_entropies(stack[::-1].copy())] == stacked[::-1]
+    assert [kernel_bits(r) for r in kernel(stack[::-1].copy())] == stacked[::-1]
     for (rho, sigma), bits in zip(pairs, stacked):
         report = ent.entropy_report(rho, sigma)
         assert float(report.rel_entropy).hex() == bits[0]
         assert float(ent.relative_entropy(rho, sigma)).hex() == bits[0]
         assert report.minimality.q.tobytes() == bits[6]
     # the pairs cover what they claim
-    results = ent._pair_entropies(stack)
+    results = kernel(stack)
     assert math.isinf(results[2][0]) and not math.isinf(results[3][0])
     assert max(max(r[3].degeneracies) for r in results) >= 3
     assert any(r[2] for r in results[-5:-1])  # sigma's eigenvalue near the cutoff, flagged
     assert all(abs(r[1]) < 1e-12 for r in results)  # S(rho||rho)
+
+
+def test_kernel_forms_only_the_parts_a_pair_asks_for():
+    """A pair that does not ask for S(rho||rho) or the minimality weights reads None there,
+    whatever the other pairs of its stack ask; what it does read keeps its bits."""
+    pairs = hard_pairs(4, rng_for("kernel-parts"))
+    stack = np.array([np.stack((rho.matrix, sigma.matrix)) for rho, sigma in pairs])
+    full = [kernel_bits(r) for r in kernel(stack)]
+    flags = [t % 2 == 0 for t in range(len(stack))]
+    mixed = ent._pair_entropies(stack, flags, [not f for f in flags])
+    for bits, (rel, self_rel, near, minimality), asks in zip(full, mixed, flags):
+        assert (float(rel).hex(), near) == (bits[0], bits[2])
+        if asks:
+            assert float(self_rel).hex() == bits[1] and minimality is None
+        else:
+            assert self_rel is None and minimality.q.tobytes() == bits[6]
+    bare = kernel(stack, False, False)
+    assert [(float(r[0]).hex(), r[1], r[2], r[3]) for r in bare] == [
+        (bits[0], None, bits[2], None) for bits in full]
+
+
+def test_segment_sums_are_each_run_summed_alone():
+    """Each run's sum has the bits of the run's own ``.sum()``, lengths 0 to 300 mixed."""
+    rng = np.random.default_rng(7)
+    counts = rng.integers(0, 300, size=60)
+    counts[:3] = [0, 1, 8]
+    values = rng.normal(size=counts.sum()) * 10.0 ** rng.integers(-8, 8, size=counts.sum())
+    runs = np.split(values, np.cumsum(counts)[:-1])
+    assert ent._segment_sums(values, counts).tolist() == [float(run.sum()) for run in runs]

@@ -925,7 +925,7 @@ class TestBatchedKernels:
         square = dim * dim * 16
         tracemalloc.start()
         try:
-            ent._pair_entropies(pair)
+            ent._pair_entropies(pair, [True], [True])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
