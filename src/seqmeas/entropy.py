@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import ShapeError
 from .quantum import (
-    CLUSTER_TOL,
     DensityOperator,
+    _clusters,
     _one_at_a_time,
+    _segment_sums,
     dagger,
-    hermitian_eigendecomposition,
     partial_trace,
     spectral_projectors,  # noqa: F401  (kept in this namespace for callers that read it here)
     tensor_product,
@@ -46,37 +46,19 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return s if s > 0.0 else 0.0
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sum of each run of ``counts`` consecutive ``values``, bit for bit as the run's own
-    ``.sum()`` (0 if empty): the runs of one length are summed as the rows of one array."""
-    lengths = set(counts.tolist())
-    if len(lengths) == 1 and 0 not in lengths:  # one length: the runs are the rows
-        return values.reshape(len(counts), -1).sum(axis=-1)
-    sums, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
-    for count in lengths - {0}:
-        sums[counts == count] = values[starts[counts == count, None] + np.arange(count)].sum(-1)
-    return sums
-
-
 def _pair_entropies(pairs: np.ndarray, self_rels, minimalities) -> list:
     """Kernel: ``(S(rho||sigma), S(rho||rho), near_boundary, minimality)`` of each pair of a
     ``(n, 2, d, d)`` stack of (rho, sigma), bit for bit as one pair at a time; a pair whose
     ``self_rels`` or ``minimalities`` flag is off reads None for S(rho||rho) or minimality.
 
-    One Hermiticity check and one ``eigh`` decompose the 2n operators.  Eigenvalues within
-    ``CLUSTER_TOL`` share a cluster, which takes their mean; the one-hot cluster rows are
-    padded with zero rows to d.  ``near_boundary`` says whether a sigma eigenvalue within a
-    decade above ``SUPPORT_EPS`` overlaps rho's support.  Each sum runs over its pair's
-    supported entries alone, in cluster order, so padding never reorders it.
+    One ``eigh`` decomposes the 2n density operators, finite and Hermitian by type, and
+    ``quantum._clusters`` clusters them.  ``near_boundary`` says whether a sigma eigenvalue
+    within a decade above ``SUPPORT_EPS`` overlaps rho's support.  Each sum runs over its
+    pair's supported entries alone, in cluster order, so padding never reorders it.
     """
     n, _, d, _ = pairs.shape
-    w, v = hermitian_eigendecomposition(pairs.reshape(2 * n, d, d))
-    labels = np.cumsum(np.diff(w, prepend=w[:, :1]) > CLUSTER_TOL, axis=-1)  # cluster of each
-    clusters = (labels[:, np.newaxis, :] == np.arange(d)[:, np.newaxis]).astype(float)
-    sizes = clusters.sum(axis=-1)  # the degeneracies; 0 on a padding row
-    eigs = np.zeros((2 * n, d))
-    eigs[sizes > 0] = _segment_sums(w.ravel(), sizes[sizes > 0].astype(int)) / sizes[sizes > 0]
-    eigs, sizes, clusters, v = (x.reshape(n, 2, *x.shape[1:]) for x in (eigs, sizes, clusters, v))
+    w, v = (x.reshape(n, 2, *x.shape[1:]) for x in np.linalg.eigh(pairs.reshape(2 * n, d, d)))
+    clusters, sizes, eigs, ks = _clusters(w)
     r, s = eigs[:, 0], eigs[:, 1]
     r_supported, s_supported = r > SUPPORT_EPS, s > SUPPORT_EPS
     log_r, log_s = np.log(np.where(r_supported, r, 1.0)), np.log(np.where(s_supported, s, 1.0))
@@ -102,7 +84,7 @@ def _pair_entropies(pairs: np.ndarray, self_rels, minimalities) -> list:
         m = np.diagonal(dagger(v[:, 1:]) @ pairs @ v[:, 1:], axis1=-2, axis2=-1).real
         q, p_tilde = np.moveaxis(np.clip(m @ np.swapaxes(clusters[:, 1], 1, 2), 0.0, None), 1, 0)
         residuals = np.abs(p_tilde - q)
-        minimal, k = (residuals < VERDICT_TOL).all(-1).tolist(), (labels[1::2, -1] + 1).tolist()
+        minimal, k = (residuals < VERDICT_TOL).all(-1).tolist(), ks[:, 1].tolist()
         minimality = [MinimalityResult(ok, e[:j], g[:j], x[:j], y[:j], z[:j])
                       for ok, j, e, g, x, y, z
                       in zip(minimal, k, s, sizes[:, 1].astype(int), q, p_tilde, residuals)]

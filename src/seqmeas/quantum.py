@@ -8,8 +8,9 @@ quantum data, the two-point work protocol, and measurement dilation.
 Public constructors (and so JSON loading and unpickling) validate every
 axiom; each single-comparison gate goes through ``_gate``, which passes
 only when ``residual < tol``, so a NaN fails.  A public family is checked
-as one ``(k, d, d)`` stack; families built from ``eigh`` or Haar-QR columns,
-orthonormal by construction, are not checked again.  Trial generation
+as one ``(k, d, d)`` stack.  Families of ``eigh`` or Haar-QR columns and Haar
+unitaries are unitary by construction: ``_unchecked`` builds them, and neither
+they nor the models built of them are checked again.  Trial generation
 validates densities a stack at a time, bit for bit as one at a time.
 Functions made with ``_one_at_a_time`` yield requests for stacked kernels
 (such as ``spectral_projectors`` of a stack); :func:`_build` runs a batch of them.
@@ -45,7 +46,7 @@ from .errors import (
     SeqMeasError,
     ShapeError,
 )
-from .stat_model import SequentialModel, exact_keys, real_array
+from .stat_model import SequentialModel, _is_integral, exact_keys, real_array
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -83,6 +84,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields``, with no check: the caller knows they hold its invariants."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _gate(residual, tol: float, message: str, constraint: str) -> None:
@@ -183,11 +191,8 @@ class DensityOperator:
         """Density operators of a ``(n, d, d)`` stack, checked as one stack."""
         if not np.isfinite(ms).all():
             raise InputError("density operator must have finite entries")
-        out = [object.__new__(cls) for _ in ms]
-        for rho, m, spectrum in zip(out, ms, cls._spectra(ms)):
-            object.__setattr__(rho, "matrix", _frozen(m))
-            object.__setattr__(rho, "spectrum", spectrum)
-        return out
+        return [_unchecked(cls, matrix=_frozen(m), spectrum=spectrum)
+                for m, spectrum in zip(ms, cls._spectra(ms))]
 
     @property
     def dim(self) -> int:
@@ -281,8 +286,8 @@ class ProjectorFamily:
         Gaussian blocks are, so no axiom is checked again.  Families of one composition
         share their ranks and ``clusters``."""
         shared: dict = {}
-        out = [object.__new__(cls) for _ in widths]
-        for family, v, w in zip(out, vs, map(tuple, widths)):
+        out = []
+        for v, w in zip(vs, map(tuple, widths)):
             if w not in shared:
                 ranks = np.array(w, dtype=int)
                 shared[w] = {"degeneracies": ranks,
@@ -290,7 +295,7 @@ class ProjectorFamily:
                 for array in shared[w].values():
                     array.setflags(write=False)
             v.setflags(write=False)
-            vars(family).update(shared[w], vectors=v)
+            out.append(_unchecked(cls, **shared[w], vectors=v))
         return out
 
     def _outer_products(self) -> np.ndarray:
@@ -366,19 +371,34 @@ def spectral_projectors(a):
     reports the stack's worst residual.
     """
     w, v = hermitian_eigendecomposition(a)
-    ws, vs = (w, v) if w.ndim == 2 else (w[np.newaxis], v[np.newaxis])
-    cuts = ((np.flatnonzero(gaps) + 1).tolist() for gaps in np.diff(ws) > CLUSTER_TOL)
-    bounds = [list(zip([0, *c], [*c, ws.shape[1]])) for c in cuts]
-    families = ProjectorFamily._from_column_stack(vs, [[hi - lo for lo, hi in b] for b in bounds])
-    out = [
-        SpectralDecomposition(
-            # a one-member cluster's mean is its member
-            eigenvalues=np.array([e[lo] if hi - lo == 1 else e[lo:hi].mean() for lo, hi in b]),
-            family=family,
-        )
-        for e, b, family in zip(ws, bounds, families)
-    ]
+    _, sizes, means, ks = _clusters(w.reshape(-1, w.shape[-1]))
+    widths = [s[:k].astype(int).tolist() for s, k in zip(sizes, ks)]
+    families = ProjectorFamily._from_column_stack(v.reshape(-1, *v.shape[-2:]), widths)
+    out = [SpectralDecomposition(e[:k], family) for e, k, family in zip(means, ks, families)]
     return out if v.ndim == 3 else out[0]
+
+
+def _clusters(w: np.ndarray) -> tuple:
+    """One-hot rows, sizes, means (``.sum()`` over size) and count of the clusters of ascending
+    spectra ``w`` (..., d), zero-padded to d: a gap above ``CLUSTER_TOL`` starts a cluster."""
+    labels = np.cumsum(np.diff(w, prepend=w[..., :1]) > CLUSTER_TOL, axis=-1)  # cluster of each
+    clusters = (labels[..., np.newaxis, :] == np.arange(w.shape[-1])[:, np.newaxis]).astype(float)
+    sizes = clusters.sum(axis=-1)
+    means = np.zeros(w.shape)
+    means[sizes > 0] = _segment_sums(w.ravel(), sizes[sizes > 0].astype(int)) / sizes[sizes > 0]
+    return clusters, sizes, means, labels[..., -1] + 1
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``counts`` consecutive ``values``, bit for bit as the run's own
+    ``.sum()`` (0 if empty): the runs of one length are summed as the rows of one array."""
+    lengths = set(counts.tolist())
+    if len(lengths) == 1 and 0 not in lengths:  # one length: the runs are the rows
+        return values.reshape(len(counts), -1).sum(axis=-1)
+    sums, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
+    for count in lengths - {0}:
+        sums[counts == count] = values[starts[counts == count, None] + np.arange(count)].sum(-1)
+    return sums
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -599,15 +619,18 @@ def tensor_product(a, b) -> np.ndarray:
 def partial_trace(rho, dims: tuple, keep: int) -> np.ndarray:
     """Partial trace of an operator on a bipartite space.
 
-    ``dims = (d1, d2)`` are the factor dimensions under the
-    :func:`tensor_product` convention; ``keep`` selects the surviving
-    factor (1 or 2).
+    ``dims = (d1, d2)``, two positive integers, are the factor dimensions
+    under the :func:`tensor_product` convention; ``keep`` selects the
+    surviving factor, the integer 1 or 2.
     """
     m = _as_square_complex(rho, "operator")
-    d1, d2 = int(dims[0]), int(dims[1])
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
+            and all(_is_integral(n) and n >= 1 for n in dims)):
+        raise InputError(f"dims {dims!r} must be two positive integers")
+    d1, d2 = dims
     if d1 * d2 != m.shape[0]:
         raise ShapeError(f"cannot split dimension {m.shape[0]} as {d1}x{d2}")
-    if keep not in (1, 2):
+    if not (_is_integral(keep) and keep in (1, 2)):
         raise InputError("keep must be 1 or 2")
     t = m.reshape(d1, d2, d1, d2)
     return np.trace(t, axis1=1, axis2=3) if keep == 1 else np.trace(t, axis1=0, axis2=2)
@@ -710,7 +733,7 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     exact_keys(obj, ("dim", "entries"), "complex matrix document")
     dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+    if not _is_integral(dim):
         raise InputError(f'matrix "dim" must be an integer, got {dim!r}')
     m = pairs_from_json(obj["entries"], 2)
     if m.shape != (dim, dim):

@@ -172,8 +172,12 @@ def expectation_regularized(model: SequentialModel, observable: RatioObservable)
         raise ShapeError(
             f"numerator matrix has shape {c.shape}, expected {(model.n_first, model.n_second)}"
         )
-    pi_t = model.pi.T  # (n_first, n_second)
-    x = model.x
+    return _regularized(model.pi.T, model.x, c)
+
+
+def _regularized(pi_t: np.ndarray, x: np.ndarray, c: np.ndarray) -> float:
+    """<c(i,j)/x(i)>, ``c`` broadcast to ``pi_t[i, j] = Pi(j|i)``, cancelled where x(i) = 0."""
+    c = np.broadcast_to(c, pi_t.shape)
     pos = x > 0.0
     zero = ~pos
     p_rows = pi_t[pos] * x[pos, np.newaxis]
@@ -182,19 +186,18 @@ def expectation_regularized(model: SequentialModel, observable: RatioObservable)
 
 
 def j_equation_residual(model: SequentialModel) -> float:
-    """|<x_tilde(j)/x(i)> - 1|; vanishes for every valid model."""
-    c = np.broadcast_to(model.x_tilde, (model.n_first, model.n_second))
-    return abs(expectation_regularized(model, RatioObservable(c)) - 1.0)
+    """|<x_tilde(j)/x(i)> - 1|, the reverse normalisation residual; 0 for every valid model."""
+    return abs(_regularized(model.pi.T, model.x, model.x_tilde) - 1.0)
 
 
 def j_equation_reverse_residual(model: SequentialModel) -> float:
     """Same identity with the two measurements' roles swapped.
 
-    The forward residual of the transposed model (Pi^T, x_tilde, x): it
-    sums P~(j,i)*x(i)/x_tilde(j) over all pairs, with contribution
-    x(i)*Pi(j|i) at points where x_tilde(j) = 0.
+    The forward normalisation residual: it sums P~(j,i)*x(i)/x_tilde(j) over
+    all pairs, with contribution x(i)*Pi(j|i) at points where x_tilde(j) = 0.
+    Both residuals read the model's arrays: a NaN in x or x_tilde makes one NaN.
     """
-    return j_equation_residual(SequentialModel(pi=model.pi.T, x=model.x_tilde, x_tilde=model.x))
+    return abs(_regularized(model.pi, model.x_tilde, model.x) - 1.0)
 
 
 def minimal_x_tilde(model: SequentialModel) -> np.ndarray:
@@ -258,13 +261,16 @@ def entropy_chain(model: SequentialModel) -> ChainEntropies:
     ms = marginal_set(model)
     h_p = modified_shannon_entropy(ms.p, ms.d)
     h_q = modified_shannon_entropy(ms.q, ms.d_tilde)
+    return ChainEntropies(h_p=h_p, h_q=h_q, cross=_cross(ms, ms.p_tilde))
+
+
+def _cross(ms: MarginalSet, p_tilde: np.ndarray) -> float:
+    """-sum_j q(j) log(p_tilde(j)/d_tilde(j)) over q(j) > 0; +inf if such a p_tilde(j) is 0."""
     support = ms.q > ZERO_CLAMP
-    if bool((ms.p_tilde[support] <= ZERO_CLAMP).any()):
-        cross = math.inf
-    else:
-        qs = ms.q[support]
-        cross = float(-(qs * np.log(ms.p_tilde[support] / ms.d_tilde[support])).sum()) + 0.0
-    return ChainEntropies(h_p=h_p, h_q=h_q, cross=cross)
+    if bool((p_tilde[support] <= ZERO_CLAMP).any()):
+        return math.inf
+    qs = ms.q[support]
+    return float(-(qs * np.log(p_tilde[support] / ms.d_tilde[support])).sum()) + 0.0
 
 
 def model_to_json(model: SequentialModel) -> dict:
@@ -286,6 +292,11 @@ def real_array(value) -> np.ndarray | None:
         return arr.astype(float)
     except OverflowError:  # an integer beyond the float range
         return None
+
+
+def _is_integral(value) -> bool:
+    """An integer of any integral type; never a bool, nor 2.7, which int() would truncate."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def exact_keys(obj, keys, what: str) -> None:

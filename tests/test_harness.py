@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import golden_files
+import seqmeas.entropy as ent
 import seqmeas.harness as hn
 import seqmeas.quantum as qm
 import seqmeas.stat_model as sm
@@ -449,19 +450,41 @@ class TestRunCheck:
         qm.ProjectorFamily((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))  # the patch counts
         assert calls == [1]
 
-    def test_jarzynski_trials_validate_only_the_drive(self, monkeypatch):
-        # the Hamiltonians' eigenbases are Haar columns, never a checked Unitary
-        calls = []
-        original = qm.Unitary.__post_init__
+    def test_trials_check_no_invariant_twice(self, monkeypatch):
+        """Each check run in process (pool workers would not see the spies): no checked
+        ``Unitary`` but dilation's fixed SWAP, no ``validate_model`` or ``RatioObservable``,
+        one ``SequentialModel`` per built model and one more per zero-x trial, and no
+        Hermiticity check of the entropy checks' density operators."""
+        calls = dict.fromkeys(("Unitary", "SequentialModel", "RatioObservable", "validate_model",
+                               "hermitian_eigendecomposition"), 0)
 
-        def counting(self):
-            calls.append(1)
-            original(self)
+        def spy(name, original):
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            return counting
 
-        monkeypatch.setattr(qm.Unitary, "__post_init__", counting)
-        config = hn.ExperimentConfig(seed=7, dims=(3, 4), trials=4)
-        hn.CHECK_SPECS["jarzynski"].generate(hn.trial_rng(config.seed, "jarzynski", 1), config, 1)
-        assert calls == [1]
+        for cls in (qm.Unitary, sm.SequentialModel, sm.RatioObservable):
+            monkeypatch.setattr(cls, "__post_init__", spy(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(sm, "validate_model", spy("validate_model", sm.validate_model))
+        hermitian = spy("hermitian_eigendecomposition", qm.hermitian_eigendecomposition)
+        for module in (qm, ent):  # wherever the name is bound
+            if hasattr(module, "hermitian_eigendecomposition"):
+                monkeypatch.setattr(module, "hermitian_eigendecomposition", hermitian)
+        config = hn.ExperimentConfig(seed=7, dims=(2, 3, 4), trials=10)
+        zero_x_trials = 0
+        for name in hn.CHECK_ORDER:
+            calls.update(dict.fromkeys(calls, 0))
+            outcome = hn.run_check(name, config)
+            assert outcome.passed, name
+            built = hn.n_trials(name, config) if name in ("jcheck", "chain", "jarzynski") else 0
+            zero_x_trials += outcome.counters.get("zero_x_trials", 0)
+            assert calls["SequentialModel"] == built + outcome.counters.get("zero_x_trials", 0)
+            assert calls["Unitary"] == (name == "dilation"), name
+            assert calls["validate_model"] == calls["RatioObservable"] == 0, name
+            if name in ("klein", "luders", "minimal", "counterexample"):
+                assert calls["hermitian_eigendecomposition"] == 0, name
+        assert zero_x_trials > 0  # the zero-x copies were counted
 
     def test_replay_validates_a_tampered_family(self):
         config = hn.ExperimentConfig(seed=5, dims=(3,), trials=2, tol=1e-300,
@@ -501,6 +524,29 @@ class TestRunCheck:
         config = hn.ExperimentConfig(seed=5, dims=(2,), trials=10, tol=1e-300)
         names = ("klein", "jarzynski", "dilation", "luders")
         return {name: json.dumps(hn.run_check(name, config).failures[0]) for name in names}
+
+    @pytest.mark.parametrize("name, key", [("jarzynski", "u"), ("dilation", "u_total")])
+    def test_replay_validates_a_tampered_unitary(self, bundles, name, key):
+        bundle = json.loads(bundles[name])
+        for row in bundle["inputs"][key]["entries"]:
+            for pair in row:
+                pair[0] *= 1.01
+                pair[1] *= 1.01
+        with pytest.raises(InvalidOperatorError) as raised:
+            hn.replay_failure(bundle)
+        assert raised.value.constraint == "unitary"
+
+    @pytest.mark.parametrize("weights, reads_nan", [("x", "j_reverse_residual"),
+                                                    ("x_tilde", "j_residual")])
+    def test_a_nan_weight_fails_its_jcheck_record(self, weights, reads_nan):
+        # the residuals read the model's arrays: NaN meets the NaN-failing gate
+        model = sm.SequentialModel(**{"pi": np.full((2, 2), 0.5), "x": [0.5, 0.5],
+                                      "x_tilde": [0.5, 0.5], weights: [math.nan, 0.5]})
+        residuals = hn.evaluate_jcheck(model)
+        assert math.isnan(residuals[reads_nan])
+        gates = hn._gates(hn.CHECK_SPECS["jcheck"].tolerances, None)
+        bundle = {"check": "jcheck", "trial": 0}
+        assert hn._trial_record(gates, bundle, ({"model": model}, {}), residuals)[2] is not None
 
     @pytest.mark.parametrize(
         "name, tamper",

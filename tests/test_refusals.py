@@ -90,6 +90,21 @@ REFUSALS = {
     "partial_trace-keep": (
         lambda: qm.partial_trace(np.eye(4), (2, 2), 3), InputError, "keep must be 1 or 2"
     ),
+    "partial_trace-keep-bool": (  # True == 1, so only the type refuses it
+        lambda: qm.partial_trace(np.eye(4), (2, 2), True), InputError, "keep must be 1 or 2"
+    ),
+    "partial_trace-dims-fraction": (  # int() would split 4 as 2 x 2
+        lambda: qm.partial_trace(np.eye(4) / 4, (2.7, 2), 1), InputError,
+        "must be two positive integers",
+    ),
+    "partial_trace-dims-bool": (  # True * 4 == 4, so only the type refuses it
+        lambda: qm.partial_trace(np.eye(4), (True, 4), 1), InputError,
+        "must be two positive integers",
+    ),
+    "partial_trace-dims-negative": (  # (-2) * (-2) == 4; reshape would raise ValueError
+        lambda: qm.partial_trace(np.eye(4), (-2, -2), 1), InputError,
+        "must be two positive integers",
+    ),
     "SequentialModel-x-matrix": (
         lambda: sm.SequentialModel(pi=[[1.0]], x=[[1.0]], x_tilde=[1.0]),
         ShapeError,
@@ -102,11 +117,6 @@ REFUSALS = {
     ),
     "RatioObservable-vector": (
         lambda: sm.RatioObservable([1.0]), ShapeError, "must be two-dimensional"
-    ),
-    "generated-model-reverse-normalisation": (
-        lambda: hn._require_valid(sm.SequentialModel(pi=[[1.0]], x=[1.0], x_tilde=[2.0])),
-        InputError,
-        "reverse_normalisation",
     ),
     "minimal_x_tilde-inconsistent": (  # d_tilde(0) = 0 but q(0) = 2
         lambda: sm.minimal_x_tilde(sm.SequentialModel(pi=[[2.0, -2.0]], x=[1, 0], x_tilde=[1])),
@@ -131,8 +141,7 @@ def test_input_is_refused(case):
 
     Valid inputs cannot reach one refusal, so it has no case here:
     ``build_sequential_model``'s cross-check of the induced joint
-    distribution against the Born rule.  ``harness._require_valid`` is called
-    directly, since every model the generator draws is valid.
+    distribution against the Born rule.
     """
     call, error, fragment = REFUSALS[case]
     with pytest.raises(error) as raised:

@@ -49,10 +49,12 @@ class TestConstructionAndValidation:
         assert sm.validate_model(trivial_model()) == []
 
     def test_forward_violation_has_residual_one(self):
-        model = sm.SequentialModel(pi=[[1.0]], x=[2.0], x_tilde=[1.0])
-        violations = sm.validate_model(model)
-        assert [v.constraint for v in violations] == ["forward_normalisation"]
-        assert violations[0].residual == pytest.approx(1.0, abs=1e-15)
+        # and its mirror, the reverse sum's violation
+        for x, x_tilde, constraint in (([2.0], [1.0], "forward_normalisation"),
+                                       ([1.0], [2.0], "reverse_normalisation")):
+            violations = sm.validate_model(sm.SequentialModel(pi=[[1.0]], x=x, x_tilde=x_tilde))
+            assert [v.constraint for v in violations] == [constraint]
+            assert violations[0].residual == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_entry_reported(self):
         model = sm.SequentialModel(pi=[[-0.5, 1.5]], x=[1.0, 1.0], x_tilde=[1.0])
